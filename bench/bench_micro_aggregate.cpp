@@ -1,6 +1,5 @@
 // Micro-benchmark: aggregation memory model — the replay→report hot
-// loop after the symbol-table/flat-map refactor, plus an ablation of
-// the aggregation data structure itself.
+// loop after the symbol-table/flat-map refactor.
 //
 // A harness binary (not google-benchmark): the warm-observe subject is
 // a whole persistent study, and the numbers feed the perf trajectory as
@@ -13,18 +12,12 @@
 //                   tests/test_study_alloc.cpp (flush_epoch between
 //                   passes; symbols interned, pools at watermark)
 //   replay_report   cold study: mmap replay -> finish -> full report
-//   node_agg        ablation: per-record bucket updates through
-//                   std::unordered_map<std::string, Counter> — one
-//                   heap node per distinct key, a key-sized string
-//                   temporary per probe (the pre-refactor shape)
-//   flat_agg        the same updates through SymbolTable::intern +
-//                   FlatMap<Sym, Counter> — dense u32 ids into
-//                   open-addressed arrays, zero allocations warm
 //
-// The headline metric is agg_speedup (flat vs node on identical key
-// streams). warm_observe is the end-to-end number the refactor bought;
+// warm_observe is the end-to-end number the refactor bought;
 // replay_report is reported for the honest Amdahl view (report
-// rendering and decode share the wall clock).
+// rendering and decode share the wall clock). The per-stage split of
+// the aggregation cost on real traces is perfbench's
+// core.aggregate_self_ns_per_rec.
 //
 //   ADSCOPE_HOUSEHOLDS  trace scale    (default 40 subscribers)
 //   ADSCOPE_HOURS       trace duration (default 4)
@@ -33,14 +26,9 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <string_view>
-#include <unordered_map>
-#include <vector>
 
-#include "core/flat_agg.h"
 #include "core/report.h"
 #include "core/study.h"
-#include "core/symbol_table.h"
 #include "experiment_common.h"
 #include "trace/mmap_reader.h"
 #include "trace/writer.h"
@@ -64,18 +52,11 @@ double best_of(int reps, Body&& body) {
   return best;
 }
 
-/// The per-bucket payload both ablation arms accumulate: the shape of
-/// the study's host/user aggregates (request count + byte volume).
-struct Counter {
-  std::uint64_t requests = 0;
-  std::uint64_t bytes = 0;
-};
-
 }  // namespace
 
 int main() {
   bench::preamble(
-      "micro: aggregation (symbol tables + flat maps vs node maps)",
+      "micro: aggregation (symbol tables + flat maps)",
       "n/a — memory model of the replay→report hot loop");
 
   const auto world = bench::make_world();
@@ -125,88 +106,18 @@ int main() {
     report_size = report.size();
   });
 
-  // --- ablation: node maps vs symbols + flat maps --------------------
-  // Identical key streams, identical table shape: every HTTP record
-  // updates a per-host counter, a per-user-agent counter, and a
-  // per-(host, user-agent) pair counter — the structure of the study's
-  // infra/user aggregates. The node arm is the pre-refactor shape: a
-  // string-keyed probe per table (each table re-hashes the bytes) and
-  // composite keys built by concatenation. The flat arm interns each
-  // string once per record — the bytes are hashed exactly once — and
-  // every table after that keys on trivially-hashable dense ids.
-  std::uint64_t node_checksum = 0;
-  std::uint64_t flat_checksum = 0;
-
-  std::unordered_map<std::string, Counter> node_hosts;
-  std::unordered_map<std::string, Counter> node_agents;
-  std::unordered_map<std::string, Counter> node_pairs;
-  std::string pair_key;  // reused scratch — generous to the node arm
-  const double node_agg = best_of(reps, [&] {
-    for (const auto& txn : corpus.http()) {
-      auto& host = node_hosts[std::string(txn.host)];
-      ++host.requests;
-      host.bytes += txn.content_length;
-      ++node_agents[std::string(txn.user_agent)].requests;
-      pair_key.assign(txn.host);
-      pair_key.push_back('\x1f');
-      pair_key.append(txn.user_agent);
-      ++node_pairs[pair_key].requests;
-    }
-    node_checksum = node_hosts.size() + node_agents.size() + node_pairs.size();
-  });
-
-  core::SymbolTable symbols;
-  core::FlatMap<core::Sym, Counter> flat_hosts;
-  core::FlatMap<core::Sym, Counter> flat_agents;
-  core::FlatMap<std::uint64_t, Counter> flat_pairs;
-  const double flat_agg = best_of(reps, [&] {
-    for (const auto& txn : corpus.http()) {
-      const auto host_sym = symbols.intern(txn.host);
-      const auto agent_sym = symbols.intern(txn.user_agent);
-      auto& host = flat_hosts[host_sym];
-      ++host.requests;
-      host.bytes += txn.content_length;
-      ++flat_agents[agent_sym].requests;
-      ++flat_pairs[(static_cast<std::uint64_t>(host_sym) << 32) |
-                   agent_sym].requests;
-    }
-    flat_checksum = flat_hosts.size() + flat_agents.size() + flat_pairs.size();
-  });
-  if (node_checksum != flat_checksum) {
-    std::printf("bucket-count mismatch: node %llu flat %llu\n",
-                static_cast<unsigned long long>(node_checksum),
-                static_cast<unsigned long long>(flat_checksum));
-    return 1;
-  }
-
   const auto per_record_ns = [&](double wall) { return wall / records * 1e9; };
-  const auto per_http_ns = [&](double wall) {
-    return wall / static_cast<double>(corpus.http().size()) * 1e9;
-  };
-  const double agg_speedup = node_agg / flat_agg;
 
-  std::printf("stage                      ns/record      speedup\n");
+  std::printf("stage                      ns/record\n");
   std::printf("warm  replay -> observe    %9.1f\n", per_record_ns(warm_observe));
   std::printf("cold  replay -> report     %9.1f\n",
               per_record_ns(replay_report));
-  std::printf("node  aggregation          %9.1f      1.00x (baseline)\n",
-              per_http_ns(node_agg));
-  std::printf("flat  aggregation          %9.1f      %.2fx\n",
-              per_http_ns(flat_agg), agg_speedup);
-  std::printf("\ndistinct buckets: %llu   interned symbols: %zu   "
-              "report bytes: %zu\n",
-              static_cast<unsigned long long>(flat_checksum), symbols.size(),
-              report_size);
+  std::printf("\nreport bytes: %zu\n", report_size);
 
   bench::JsonMetrics metrics("aggregate");
   metrics.record("records", records);
   metrics.record("warm_observe_ns_per_record", per_record_ns(warm_observe));
   metrics.record("replay_report_ns_per_record", per_record_ns(replay_report));
-  metrics.record("node_agg_ns_per_record", per_http_ns(node_agg));
-  metrics.record("flat_agg_ns_per_record", per_http_ns(flat_agg));
-  metrics.record("agg_speedup", agg_speedup);
-  metrics.record("distinct_buckets", static_cast<double>(flat_checksum));
-  metrics.record("interned_symbols", static_cast<double>(symbols.size()));
   std::remove(path.c_str());
   return 0;
 }

@@ -2,20 +2,17 @@
 // ablation (DESIGN.md §4.1) — keyword-indexed candidate selection vs a
 // linear scan over all filters, plus parsing and URL tokenization costs.
 //
-// PR 3 additions: compiled-vs-oracle matcher ablation, classification
-// cache on/off over a Zipf-repetitive stream, and a cold-vs-warm
-// latency distribution. A custom main() re-times the headline numbers
+// Also: a compiled-vs-oracle matcher ablation and the per-call latency
+// distribution. A custom main() re-times the headline numbers
 // and emits BENCH_filter_engine.json via JsonMetrics so CI can track
 // the speedup against the recorded pre-rewrite baseline.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
-#include "adblock/classify_cache.h"
 #include "adblock/token_index.h"
 #include "experiment_common.h"
 
@@ -50,45 +47,6 @@ const std::vector<adblock::Request>& request_stream() {
     return requests;
   }();
   return stream;
-}
-
-// Zipf-ish revisit pattern over the stream: repeated resources dominate
-// (u^6 concentrates ~85% of draws on the first ~40% of requests), which
-// is what a classification cache actually sees in trace replay.
-const std::vector<std::uint32_t>& zipf_indices() {
-  static const std::vector<std::uint32_t> indices = [] {
-    const auto n = request_stream().size();
-    util::Rng rng(11);
-    std::vector<std::uint32_t> out(1 << 15);
-    for (auto& index : out) {
-      const double u =
-          static_cast<double>(rng.next() >> 11) * 0x1.0p-53;  // [0,1)
-      index = static_cast<std::uint32_t>(
-          std::min<double>(std::pow(u, 6.0) * static_cast<double>(n),
-                           static_cast<double>(n - 1)));
-    }
-    return out;
-  }();
-  return indices;
-}
-
-// One cache-mediated classification, exactly as TraceClassifier does it:
-// key on the raw spec + page context, skip tokenize/classify on a hit.
-adblock::Classification classify_via_cache(adblock::ClassifyCache& cache,
-                                           adblock::TokenScratch& scratch,
-                                           const adblock::Request& request) {
-  const auto key1 = adblock::ClassifyCache::key_of_url(request.url);
-  const auto key2 = adblock::ClassifyCache::key_of_context(
-      request.page_url_lower, request.type);
-  const auto epoch = world().engine.config_epoch();
-  if (cache.enabled()) {
-    if (const auto* hit = cache.find(key1, key2, epoch)) return *hit;
-  }
-  const auto verdict =
-      world().engine.classify(adblock::RequestView(request),
-                              scratch.tokenize(request.url_lower));
-  if (cache.enabled()) cache.insert(key1, key2, epoch, verdict);
-  return verdict;
 }
 
 void BM_EngineClassify(benchmark::State& state) {
@@ -133,30 +91,6 @@ void BM_EngineClassifyLinearScan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EngineClassifyLinearScan);
-
-// Ablation: cache on (arg = entries) vs off (arg = 0) over the Zipf
-// revisit stream. The delta is what TraceClassifier saves per request.
-void BM_EngineClassifyCached(benchmark::State& state) {
-  const auto& requests = request_stream();
-  const auto& order = zipf_indices();
-  adblock::ClassifyCache cache(static_cast<std::size_t>(state.range(0)));
-  adblock::TokenScratch scratch;
-  std::size_t i = 0;
-  std::uint64_t ads = 0;
-  for (auto _ : state) {
-    ads += classify_via_cache(cache, scratch, requests[order[i]]).is_ad();
-    i = (i + 1) % order.size();
-  }
-  benchmark::DoNotOptimize(ads);
-  state.SetItemsProcessed(state.iterations());
-  if (cache.enabled()) {
-    state.counters["hit_rate"] =
-        static_cast<double>(cache.hits()) /
-        static_cast<double>(std::max<std::uint64_t>(
-            cache.hits() + cache.misses(), 1));
-  }
-}
-BENCHMARK(BM_EngineClassifyCached)->Arg(0)->Arg(4096);
 
 // Ablation: compiled pattern programs vs the recursive oracle, over
 // every (filter, url) pair of the generated EasyList x request stream.
@@ -266,27 +200,6 @@ double measure_classify_ns() {
          static_cast<double>(iterations);
 }
 
-double measure_cached_ns(std::size_t entries) {
-  const auto& requests = request_stream();
-  const auto& order = zipf_indices();
-  adblock::ClassifyCache cache(entries);
-  adblock::TokenScratch scratch;
-  std::uint64_t ads = 0;
-  const std::size_t iterations = 2 * order.size();
-  const auto start = Clock::now();
-  for (std::size_t i = 0; i < iterations; ++i) {
-    ads += classify_via_cache(cache, scratch, requests[order[i % order.size()]])
-               .is_ad();
-  }
-  const auto stop = Clock::now();
-  benchmark::DoNotOptimize(ads);
-  return std::chrono::duration<double, std::nano>(stop - start).count() /
-         static_cast<double>(iterations);
-}
-
-double measure_cached_on_ns() { return measure_cached_ns(4096); }
-double measure_cached_off_ns() { return measure_cached_ns(0); }
-
 double percentile(std::vector<double>& samples, double q) {
   std::sort(samples.begin(), samples.end());
   const auto rank = static_cast<std::size_t>(
@@ -294,30 +207,22 @@ double percentile(std::vector<double>& samples, double q) {
   return samples[rank];
 }
 
-// Cold pass (every lookup misses) vs warm pass (hot head hits) over the
-// same stream, per-call latencies for tail percentiles.
-void record_cold_warm(bench::JsonMetrics& json) {
+// Per-call latencies over one pass of the stream, for tail percentiles.
+void record_latency_percentiles(bench::JsonMetrics& json) {
   const auto& requests = request_stream();
-  adblock::ClassifyCache cache(1 << 15);  // roomy: second pass is all hits
   adblock::TokenScratch scratch;
-  std::vector<double> cold;
-  std::vector<double> warm;
-  cold.reserve(requests.size());
-  warm.reserve(requests.size());
-  for (int pass = 0; pass < 2; ++pass) {
-    auto& samples = pass == 0 ? cold : warm;
-    for (const auto& request : requests) {
-      const auto start = Clock::now();
-      benchmark::DoNotOptimize(classify_via_cache(cache, scratch, request));
-      const auto stop = Clock::now();
-      samples.push_back(
-          std::chrono::duration<double, std::nano>(stop - start).count());
-    }
+  std::vector<double> samples;
+  samples.reserve(requests.size());
+  for (const auto& request : requests) {
+    const auto start = Clock::now();
+    benchmark::DoNotOptimize(world().engine.classify(
+        adblock::RequestView(request), scratch.tokenize(request.url_lower)));
+    const auto stop = Clock::now();
+    samples.push_back(
+        std::chrono::duration<double, std::nano>(stop - start).count());
   }
-  json.record("classify_cold_p50_ns", percentile(cold, 0.50));
-  json.record("classify_cold_p99_ns", percentile(cold, 0.99));
-  json.record("classify_warm_p50_ns", percentile(warm, 0.50));
-  json.record("classify_warm_p99_ns", percentile(warm, 0.99));
+  json.record("classify_p50_ns", percentile(samples, 0.50));
+  json.record("classify_p99_ns", percentile(samples, 0.99));
 }
 
 void emit_json_metrics() {
@@ -329,13 +234,7 @@ void emit_json_metrics() {
   json.record("classify_ns", after_ns);
   json.record("classify_speedup_vs_baseline", kSeedClassifyNs / after_ns);
 
-  const double cache_on_ns = min_of_repeats(3, &measure_cached_on_ns);
-  const double cache_off_ns = min_of_repeats(3, &measure_cached_off_ns);
-  json.record("classify_cached_ns", cache_on_ns);
-  json.record("classify_uncached_ns", cache_off_ns);
-  json.record("classify_cache_speedup", cache_off_ns / cache_on_ns);
-
-  record_cold_warm(json);
+  record_latency_percentiles(json);
 }
 
 }  // namespace

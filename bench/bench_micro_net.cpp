@@ -151,7 +151,6 @@ int main() {
     for (const auto backend : backends) {
       live::LiveStudyOptions study_options;
       study_options.study.inference.min_requests = 1000;
-      study_options.study.classifier.classify_cache = 65536;
       study_options.threads = 1;
       // One giant bucket: no mid-stream sealing, no late drops. The
       // shard queue stays bounded (production backpressure): ingest

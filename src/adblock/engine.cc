@@ -32,14 +32,11 @@ ListId FilterEngine::add_list(FilterList list) {
   slot.blocking.finalize();
   slot.exceptions.finalize();
   slots_.push_back(std::move(slot));
-  ++epoch_;
   return static_cast<ListId>(slots_.size() - 1);
 }
 
 void FilterEngine::set_enabled(ListId id, bool enabled) {
-  auto& slot = slots_.at(static_cast<std::size_t>(id));
-  if (slot.enabled != enabled) ++epoch_;
-  slot.enabled = enabled;
+  slots_.at(static_cast<std::size_t>(id)).enabled = enabled;
 }
 
 bool FilterEngine::enabled(ListId id) const {

@@ -89,12 +89,6 @@ class FilterEngine {
   Classification classify(const RequestView& request,
                           std::span<const std::uint64_t> tokens) const;
 
-  /// Monotonic configuration version: bumped by add_list/set_enabled.
-  /// Classification caches key on it so a config change invalidates every
-  /// memoized verdict (the Filter pointers and attribution would be
-  /// stale).
-  std::uint64_t config_epoch() const noexcept { return epoch_; }
-
   /// True when `literal` (lower-case) occurs in the body of any loaded
   /// rule. The query normalizer (§3.1 "Base URL") uses this to avoid
   /// rewriting query fields that filters key on.
@@ -122,7 +116,6 @@ class FilterEngine {
                                 const RequestView& request) const;
 
   std::vector<Slot> slots_;
-  std::uint64_t epoch_ = 0;
 };
 
 /// Build a Request from URL pieces (convenience for callers/tests).
@@ -135,12 +128,11 @@ void make_request_into(std::string_view url, std::string_view page_url,
                        http::RequestType type, Request& out);
 
 /// Caller-owned per-thread scratch for the zero-allocation classify path:
-/// a reusable Request (string capacity persists across calls), the token
-/// buffer, and a spec-rendering buffer for cache keys.
+/// a reusable Request (string capacity persists across calls) and the
+/// token buffer.
 struct RequestScratch {
   Request request;
   TokenScratch tokens;
-  std::string raw_spec;
 };
 
 }  // namespace adscope::adblock

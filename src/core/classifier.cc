@@ -23,8 +23,7 @@ TraceClassifier::TraceClassifier(const adblock::FilterEngine& engine,
                                  ClassifierOptions options)
     : engine_(engine),
       options_(options),
-      normalizer_(engine, !options.naive_query_normalization),
-      cache_(options.classify_cache) {
+      normalizer_(engine, !options.naive_query_normalization) {
   if (options_.use_payloads) {
     for (std::size_t i = 0; i < engine.list_count(); ++i) {
       elemhide_.add_list(engine.list(static_cast<adblock::ListId>(i)));
@@ -89,23 +88,6 @@ void TraceClassifier::classify_and_emit(const analyzer::WebObject& object,
   const PageContext::Info& page_info = page_ctx_.lookup(page);
   out.page_host.assign(page_info.page_host);
 
-  // The verdict is a pure function of (original URL, page, type, engine
-  // config): normalization and lowering are deterministic, so the memo is
-  // keyed on the pre-normalization spec and a hit skips all of it.
-  object.url.spec_to(scratch_.raw_spec);
-  const auto key1 = adblock::ClassifyCache::key_of_url(scratch_.raw_spec);
-  const auto key2 = adblock::ClassifyCache::key_of_context(page, type);
-  const auto epoch = engine_.config_epoch();
-  if (cache_.enabled()) {
-    if (const adblock::Classification* hit = cache_.find(key1, key2, epoch)) {
-      ++counters_.classify_cache_hits;
-      out.verdict = *hit;
-      if (callback_) callback_(out);
-      return;
-    }
-    ++counters_.classify_cache_misses;
-  }
-
   adblock::Request& request = scratch_.request;
   if (options_.query_normalization) {
     normalizer_.normalize(object.url).spec_to(request.url);
@@ -120,7 +102,6 @@ void TraceClassifier::classify_and_emit(const analyzer::WebObject& object,
 
   out.verdict = engine_.classify(adblock::RequestView(request),
                                  scratch_.tokens.tokenize(request.url_lower));
-  if (cache_.enabled()) cache_.insert(key1, key2, epoch, out.verdict);
   if (callback_) callback_(out);
 }
 

@@ -26,7 +26,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "adblock/classify_cache.h"
 #include "adblock/element_hiding.h"
 #include "adblock/engine.h"
 #include "analyzer/http_extractor.h"
@@ -81,10 +80,6 @@ struct ClassifierOptions {
   /// detected via the element-hiding rules.
   bool use_payloads = false;
 
-  /// Entry budget of the per-classifier classification memo (0 disables).
-  /// Each pipeline shard owns its own cache, so no locking is involved.
-  std::size_t classify_cache = 4096;
-
   std::size_t per_user_url_capacity = 2048;
   std::size_t max_users = 1 << 18;
   // A held redirect source expires after this many subsequent objects
@@ -100,8 +95,6 @@ struct ClassifierCounters {
   std::uint64_t redirects_expired = 0;
   std::uint64_t hidden_text_ads = 0;
   std::uint64_t payload_type_hints_used = 0;
-  std::uint64_t classify_cache_hits = 0;
-  std::uint64_t classify_cache_misses = 0;
 
   void merge(const ClassifierCounters& other) noexcept {
     processed += other.processed;
@@ -109,8 +102,6 @@ struct ClassifierCounters {
     redirects_expired += other.redirects_expired;
     hidden_text_ads += other.hidden_text_ads;
     payload_type_hints_used += other.payload_type_hints_used;
-    classify_cache_hits += other.classify_cache_hits;
-    classify_cache_misses += other.classify_cache_misses;
   }
 };
 
@@ -145,9 +136,6 @@ class TraceClassifier {
     return counters_.payload_type_hints_used;
   }
   const ClassifierCounters& counters() const noexcept { return counters_; }
-  const adblock::ClassifyCache& classify_cache() const noexcept {
-    return cache_;
-  }
 
  private:
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
@@ -262,7 +250,6 @@ class TraceClassifier {
   QueryNormalizer normalizer_;
   adblock::ElementHidingIndex elemhide_;  // populated in payload mode
   Callback callback_;
-  adblock::ClassifyCache cache_;
   adblock::RequestScratch scratch_;
   PageContext page_ctx_;
   EmbeddedUrlScanner embedded_scanner_;

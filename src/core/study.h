@@ -77,8 +77,8 @@ struct StudyView {
   const InfraAnalysis* infra = nullptr;
   const RtbAnalysis* rtb = nullptr;
   const PageViewStats* page_views = nullptr;
-  /// Pipeline throughput/diagnostic counters (classification-cache hit
-  /// rates included); may be null for producers that do not track them.
+  /// Pipeline throughput/diagnostic counters (redirect patching,
+  /// payload hints); may be null for producers that do not track them.
   const ClassifierCounters* classifier = nullptr;
   std::uint64_t https_flows = 0;
   InferenceOptions inference_options;

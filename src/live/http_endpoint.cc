@@ -6,7 +6,6 @@
 #include <string_view>
 #include <utility>
 
-#include "live/study_json.h"
 #include "util/simd.h"
 
 namespace adscope::live {
@@ -16,12 +15,6 @@ namespace {
 std::string path_of(const std::string& target) {
   const auto query_at = target.find('?');
   return query_at == std::string::npos ? target : target.substr(0, query_at);
-}
-
-std::string_view query_of(const std::string& target) {
-  const auto query_at = target.find('?');
-  if (query_at == std::string::npos) return {};
-  return std::string_view(target).substr(query_at + 1);
 }
 
 bool iequals(std::string_view a, std::string_view b) {
@@ -72,6 +65,22 @@ std::size_t header_count(std::string_view headers) {
     at = line_end + 2;
   }
   return count;
+}
+
+/// The legacy route `/study/<agg>[?q]` is an alias of
+/// `/query/<agg>/*[?q]`; every other target passes through unchanged
+/// (a deeper `/study/` path reaches the parser as is and answers 404).
+std::string store_target(const std::string& target) {
+  constexpr std::string_view kLegacy = "/study/";
+  if (target.rfind(kLegacy, 0) != 0) return target;
+  const auto query_at = target.find('?');
+  const auto aggregate = std::string_view(target).substr(
+      kLegacy.size(), query_at - kLegacy.size());
+  if (aggregate.find('/') != std::string_view::npos) return target;
+  std::string rewritten = "/query/";
+  rewritten.append(aggregate).append("/*");
+  if (query_at != std::string::npos) rewritten.append(target, query_at);
+  return rewritten;
 }
 
 store::QueryError make_error(int status, std::string message,
@@ -257,13 +266,12 @@ class HttpEndpoint::HttpConnHandler final : public util::Reactor::Handler {
 };
 
 HttpEndpoint::HttpEndpoint(LiveStudy& study, util::ListenSocket socket,
-                           const netdb::AsnDatabase* asn_db,
+                           const netdb::AsnDatabase* /*asn_db*/,
                            const TraceStreamServer* ingest,
                            store::StoreService* store,
                            HttpEndpointOptions options)
     : study_(study),
       socket_(std::move(socket)),
-      asn_db_(asn_db),
       ingest_(ingest),
       store_(store),
       options_(options) {
@@ -333,49 +341,6 @@ std::string HttpEndpoint::status_line(int status) {
   }
 }
 
-std::string HttpEndpoint::live_etag() const {
-  std::string tag = "\"live-s";
-  tag += std::to_string(study_.buckets_sealed());
-  tag += "-e";
-  tag += std::to_string(study_.buckets_evicted());
-  tag += "-w";
-  tag += std::to_string(study_.watermark_ms());
-  tag += "-i";
-  tag += std::to_string(study_.records_ingested());
-  tag += "-d";
-  tag += std::to_string(study_.total_drops());
-  tag += '"';
-  return tag;
-}
-
-HttpEndpoint::Response HttpEndpoint::handle_study(
-    const std::string& target) const {
-  store::QueryParams params;
-  store::QueryError error;
-  if (!store::parse_params(query_of(target), params, error)) {
-    return {error.status, "application/json", store::error_json(error), ""};
-  }
-  const auto path = path_of(target);
-  const auto etag = live_etag();
-  const auto snapshot = params.window_s == 0
-                            ? study_.snapshot()
-                            : study_.snapshot_window(params.window_s);
-  if (path == "/study/summary") {
-    return {200, "application/json", summary_json(snapshot), etag};
-  }
-  if (path == "/study/traffic") {
-    return {200, "application/json", traffic_json(snapshot), etag};
-  }
-  if (path == "/study/users") {
-    return {200, "application/json", users_json(snapshot), etag};
-  }
-  if (path == "/study/infra") {
-    return {200, "application/json",
-            infra_json(snapshot, asn_db_, options_.top_ases), etag};
-  }
-  return error_response(404, "no such route");
-}
-
 HttpEndpoint::Response HttpEndpoint::handle(
     const std::string& method, const std::string& target,
     const std::string& if_none_match) const {
@@ -389,13 +354,12 @@ HttpEndpoint::Response HttpEndpoint::handle(
     response = {200, "text/plain", "ok\n", ""};
   } else if (path == "/metrics") {
     response = {200, "text/plain; version=0.0.4", render_metrics(), ""};
-  } else if (path.rfind("/study/", 0) == 0) {
-    response = handle_study(target);
-  } else if (path == "/query" || path.rfind("/query/", 0) == 0) {
+  } else if (path == "/query" || path.rfind("/query/", 0) == 0 ||
+             path.rfind("/study/", 0) == 0) {
     if (store_ == nullptr) {
       response = error_response(404, "snapshot store disabled");
     } else {
-      const auto store_response = store_->query(target);
+      const auto store_response = store_->query(store_target(target));
       response = {store_response.status, store_response.content_type,
                   store_response.body, store_response.etag};
     }
@@ -499,20 +463,6 @@ std::string HttpEndpoint::render_metrics() const {
          "(trace clock).\n"
       << "# TYPE adscoped_watermark_ms gauge\n"
       << "adscoped_watermark_ms " << study_.watermark_ms() << "\n";
-  {
-    const auto classifier = study_.classifier_counters();
-    out << "# HELP adscoped_classify_cache_hits_total Classification "
-           "verdicts served from the per-shard memo.\n"
-        << "# TYPE adscoped_classify_cache_hits_total counter\n"
-        << "adscoped_classify_cache_hits_total "
-        << classifier.classify_cache_hits << "\n";
-    out << "# HELP adscoped_classify_cache_misses_total Classifications "
-           "computed by the filter engine.\n"
-        << "# TYPE adscoped_classify_cache_misses_total counter\n"
-        << "adscoped_classify_cache_misses_total "
-        << classifier.classify_cache_misses << "\n";
-  }
-
   if (store_ != nullptr) {
     const auto& tree = store_->tree();
     out << "# HELP adscoped_store_epoch Snapshot-store mutation epoch "

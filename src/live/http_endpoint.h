@@ -7,30 +7,26 @@
 // are kept alive (pipelined requests drain in order) until the client
 // sends `Connection: close`, the idle timeout expires, or the
 // per-connection request cap is reached; HTTP/1.0 closes after each
-// response unless the client asks for keep-alive. Every JSON
-// study/query response carries a strong ETag derived from the
-// serving-state fingerprint (tree epoch + ingest counters), so
-// `If-None-Match` revalidation answers 304 without rendering.
-// Connections over max_connections get `503 Retry-After: 1` and are
-// closed (and counted — adscoped_http_connections_rejected_total).
+// response unless the client asks for keep-alive. Every JSON query
+// response carries a strong ETag derived from the serving-state
+// fingerprint (tree epoch + ingest counters), so `If-None-Match`
+// revalidation answers 304 without rendering. Connections over
+// max_connections get `503 Retry-After: 1` and are closed (and
+// counted — adscoped_http_connections_rejected_total).
 //
 // Routes:
 //   /healthz                    liveness probe ("ok")
 //   /metrics                    Prometheus text format (ingest rate,
 //                               queue depth, drops, buckets, store and
 //                               cache gauges, HTTP stats)
-//   /study/summary[?window_s=N] headline JSON (traffic + user classes)
-//   /study/traffic[?window_s=N] §7 detail: lists, content types,
-//                               time series, size histograms
-//   /study/users[?window_s=N]   §6 detail: indicator classes, ECDFs,
-//                               configuration estimates
-//   /study/infra[?window_s=N]   §8 detail: servers, top ASes, RTB
 //   /query/...                  snapshot-store path queries (grammar:
-//                               docs/QUERY.md), when a store is wired
+//                               docs/QUERY.md)
+//   /study/<agg>[?params]       legacy alias of /query/<agg>/*[?params]
+//                               (summary, traffic, users, infra): same
+//                               body, ETag and response-cache entry
 //
-// `window_s` restricts the merge to the trailing N seconds (whole
-// buckets); default is every sealed bucket still in the ring. Errors
-// are uniform across all routes: unknown paths answer 404 and
+// Both query route families need a store; without one they answer 404.
+// Errors are uniform across all routes: unknown paths answer 404 and
 // malformed selectors/parameters 400, both with the structured
 // `{"error":{...}}` body from store::error_json.
 #pragma once
@@ -65,8 +61,6 @@ struct HttpEndpointOptions {
   std::size_t max_request_line_bytes = 2048;
   std::size_t max_header_count = 64;
   std::size_t max_connections = 32;
-  /// Rows in /study/infra's AS ranking.
-  std::size_t top_ases = 10;
   /// Keep-alive connections are closed after this much time without a
   /// complete request.
   int idle_timeout_ms = 5000;
@@ -80,11 +74,11 @@ struct HttpEndpointOptions {
 
 class HttpEndpoint {
  public:
-  /// `asn_db` (nullable) enables the AS ranking; `ingest` (nullable)
-  /// adds the stream server's counters to /metrics; `store` (nullable)
-  /// enables the /query routes and the store gauges. All must outlive
-  /// the endpoint.
+  /// `ingest` (nullable) adds the stream server's counters to /metrics;
+  /// `store` (nullable) enables the /query and /study routes and the
+  /// store gauges. Both must outlive the endpoint.
   HttpEndpoint(LiveStudy& study, util::ListenSocket socket,
+               // Unused (the store ranks ASes); kept for perfbench's calls.
                const netdb::AsnDatabase* asn_db = nullptr,
                const TraceStreamServer* ingest = nullptr,
                store::StoreService* store = nullptr,
@@ -141,14 +135,8 @@ class HttpEndpoint {
 
   static std::string status_line(int status);
 
-  /// ETag fingerprint for the legacy /study routes: the LiveStudy's
-  /// serving-state counters (seals, evictions, watermark, ingest).
-  std::string live_etag() const;
-  Response handle_study(const std::string& target) const;
-
   LiveStudy& study_;
   util::ListenSocket socket_;
-  const netdb::AsnDatabase* asn_db_;
   const TraceStreamServer* ingest_;
   store::StoreService* store_;
   HttpEndpointOptions options_;

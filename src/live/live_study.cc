@@ -287,15 +287,4 @@ std::size_t LiveStudy::bucket_count() const {
   return count;
 }
 
-core::ClassifierCounters LiveStudy::classifier_counters() const {
-  core::ClassifierCounters totals;
-  for (const auto& shard : shards_) {
-    util::MutexLock lock(shard->mutex);
-    for (const auto& [id, bucket] : shard->buckets) {
-      totals.merge(bucket->study.classifier().counters());
-    }
-  }
-  return totals;
-}
-
 }  // namespace adscope::live

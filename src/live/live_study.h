@@ -195,9 +195,6 @@ class LiveStudy final : public trace::TraceSink {
   std::size_t queue_depth() const;
   /// Live (non-evicted) buckets across all shards.
   std::size_t bucket_count() const;
-  /// Pipeline counters summed over every live bucket (classification-
-  /// cache hit rates included). Takes each shard's mutex briefly.
-  core::ClassifierCounters classifier_counters() const;
 
  private:
   struct Control {

@@ -23,8 +23,9 @@
 // segments, 400 for malformed selectors/parameters), a message, and
 // the offending parameter name — the serving layer renders that as a
 // structured JSON error body instead of silently defaulting. The
-// window_s parser here is also what the legacy /study routes use, so
-// the 400/404 semantics are uniform across the whole HTTP surface.
+// legacy /study/<agg> routes are rewritten to /query/<agg>/* before
+// parsing, so the 400/404 semantics are uniform across the whole HTTP
+// surface.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +44,7 @@ struct QueryError {
   std::string param;
 };
 
-/// Rendering parameters, shared by /query and the legacy /study routes.
+/// Rendering parameters (the part of a target after '?').
 struct QueryParams {
   /// Trailing window in seconds; 0 = absent (whole retained range).
   std::uint64_t window_s = 0;

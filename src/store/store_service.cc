@@ -123,8 +123,8 @@ StoreService::Response StoreService::render(const QuerySpec& spec,
           max_bucket = newest.value_or(0);
         } else if (spec.params.window_s > 0) {
           // Trailing window anchored on the live watermark bucket —
-          // the exact math of LiveStudy::snapshot_window, so /query
-          // and /study agree on which buckets a window covers.
+          // the exact math of LiveStudy::snapshot_window, so the store
+          // and the live ring agree on which buckets a window covers.
           const auto span =
               (spec.params.window_s + tree_.bucket_seconds() - 1) /
               tree_.bucket_seconds();

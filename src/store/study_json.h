@@ -6,9 +6,9 @@
 // counts) that only exists for time-bucketed aggregation. Kept separate
 // from the text renderers so the serving layer has a stable
 // machine-readable schema while the human report stays free to change
-// wording. Both the legacy /study/* routes and the /query path engine
-// render through these — that shared code path is what makes the
-// query-vs-legacy byte-identity tests meaningful.
+// wording. The /query path engine renders through these, and the
+// daemon's shutdown snapshot and the snapshot-store tests call them
+// directly on LiveStudy snapshots.
 #pragma once
 
 #include <cstddef>

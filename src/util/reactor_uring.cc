@@ -469,6 +469,9 @@ class UringReactor final : public Reactor {
       if (cqe.res < 0) return;  // transient accept failure
       reactor.accepted_.fetch_add(1, std::memory_order_relaxed);
       Fd sock(cqe.res);
+      // The accept CQE bypasses ListenSocket::accept_nb, so apply its
+      // TCP socket options here.
+      if (reactor.listener_->path().empty()) set_tcp_nodelay(sock.get());
       std::unique_ptr<Handler> handler;
       try {
         handler = reactor.factory_();

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -112,6 +113,11 @@ IoStep recv_nb(int fd, char* out, std::size_t max) {
   }
 }
 
+void set_tcp_nodelay(int fd) noexcept {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 ListenSocket ListenSocket::tcp(std::uint16_t port, bool loopback_only) {
   Fd fd = make_socket(AF_INET);
   const int one = 1;
@@ -156,7 +162,10 @@ Fd ListenSocket::accept(int timeout_ms) {
   if (!wait_readable(fd_.get(), timeout_ms)) return Fd();
   for (;;) {
     const int client = ::accept(fd_.get(), nullptr, nullptr);
-    if (client >= 0) return Fd(client);
+    if (client >= 0) {
+      if (path_.empty()) set_tcp_nodelay(client);
+      return Fd(client);
+    }
     if (errno == EINTR || errno == ECONNABORTED) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) return Fd();
     throw_errno("accept");
@@ -167,7 +176,10 @@ Fd ListenSocket::accept_nb() {
   for (;;) {
     const int client =
         ::accept4(fd_.get(), nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (client >= 0) return Fd(client);
+    if (client >= 0) {
+      if (path_.empty()) set_tcp_nodelay(client);
+      return Fd(client);
+    }
     if (errno == EINTR || errno == ECONNABORTED) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) return Fd();
     throw_errno("accept4");

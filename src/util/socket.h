@@ -74,6 +74,11 @@ IoStep send_nb(int fd, std::string_view data);
 /// Nonblocking read into `out` (up to `max`).
 IoStep recv_nb(int fd, char* out, std::size_t max);
 
+/// Disables Nagle's algorithm on a TCP socket, so a small response is
+/// not held back behind an unacknowledged earlier one (a pipelining
+/// client would otherwise wait for the delayed ACK). Best effort.
+void set_tcp_nodelay(int fd) noexcept;
+
 /// Listening socket — TCP loopback/any or a Unix domain path.
 class ListenSocket {
  public:
@@ -91,12 +96,14 @@ class ListenSocket {
 
   /// Waits up to `timeout_ms` for a pending connection and accepts it
   /// (EINTR retried). Returns an invalid Fd on timeout (the caller's
-  /// shutdown-check window) or when the socket was shut down.
+  /// shutdown-check window) or when the socket was shut down. Accepted
+  /// TCP sockets have TCP_NODELAY set.
   Fd accept(int timeout_ms);
 
   /// Nonblocking accept (the listener must be set_nonblocking): returns
   /// an invalid Fd when no connection is pending. The accepted socket
-  /// is itself nonblocking. EINTR/ECONNABORTED retried.
+  /// is itself nonblocking (and TCP_NODELAY for a TCP listener).
+  /// EINTR/ECONNABORTED retried.
   Fd accept_nb();
 
   int fd() const noexcept { return fd_.get(); }

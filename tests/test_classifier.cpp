@@ -1,10 +1,14 @@
 // core: the TraceClassifier pipeline — page attribution, content-type
-// inference with redirect patching, emission semantics.
+// inference with redirect patching, emission semantics, and the
+// allocation-reusing request helpers (PageContext, make_request_into).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/classifier.h"
+#include "util/strings.h"
 
 namespace adscope::core {
 namespace {
@@ -207,6 +211,51 @@ TEST_F(ClassifierTest, ProcessedCounter) {
   classifier_->process(object("http://a.test/", "", "text/html"));
   classifier_->process(object("http://b.test/", "", "text/html"));
   EXPECT_EQ(classifier_->processed(), 2u);
+}
+
+TEST(ClassifierCacheTest, PageContextMatchesFreshComputation) {
+  PageContext context;
+  const std::vector<std::string> pages = {
+      "http://site.test/index.html",
+      "http://site.test/index.html",  // repeat -> memo hit
+      "HTTP://Other.Test/Page",
+      "",
+      "not a url",
+      "http://site.test/index.html",
+  };
+  for (const auto& page : pages) {
+    const auto& info = context.lookup(page);
+    EXPECT_EQ(info.page, page);
+    EXPECT_EQ(info.page_lower, util::to_lower(page));
+    std::string expected_host;
+    if (!page.empty()) {
+      if (const auto parsed = http::Url::parse(page)) {
+        expected_host = parsed->host();
+      }
+    }
+    EXPECT_EQ(info.page_host, expected_host) << page;
+  }
+}
+
+TEST(ClassifierCacheTest, MakeRequestIntoMatchesMakeRequest) {
+  adblock::Request reused;
+  const std::vector<std::tuple<std::string, std::string, http::RequestType>>
+      cases = {
+          {"http://a.test/x.gif", "http://page.test/", http::RequestType::kImage},
+          {"  http://trim.test/y ", "", http::RequestType::kScript},
+          {"HTTPS://Upper.Test/Z?Q=1", "HTTP://Page.Test/Index.HTML",
+           http::RequestType::kDocument},
+      };
+  for (const auto& [url, page, type] : cases) {
+    const auto fresh = adblock::make_request(url, page, type);
+    adblock::make_request_into(url, page, type, reused);
+    EXPECT_EQ(reused.url, fresh.url);
+    EXPECT_EQ(reused.url_lower, fresh.url_lower);
+    EXPECT_EQ(reused.host, fresh.host);
+    EXPECT_EQ(reused.page_host, fresh.page_host);
+    EXPECT_EQ(reused.page_url_lower, fresh.page_url_lower);
+    EXPECT_EQ(reused.type, fresh.type);
+  }
 }
 
 }  // namespace

@@ -1,11 +1,42 @@
 // FilterEngine classification semantics: list priority, exceptions,
-// whitelisting, $document page whitelisting, literal lookup.
+// whitelisting, $document page whitelisting, literal lookup, and the
+// zero-allocation guarantee of the warm classify path.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
 
 #include "adblock/engine.h"
 
+// --- global allocation-counting hook ---------------------------------
+// Counts every operator-new in the binary; tests snapshot the counter
+// around a region to assert the hot paths stay off the heap.
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}
+
+void* operator new(std::size_t size) {
+  ++g_allocations;
+  if (void* ptr = std::malloc(size ? size : 1)) return ptr;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) {
+  ++g_allocations;
+  if (void* ptr = std::malloc(size ? size : 1)) return ptr;
+  throw std::bad_alloc();
+}
+void operator delete(void* ptr) noexcept { std::free(ptr); }
+void operator delete[](void* ptr) noexcept { std::free(ptr); }
+void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
+void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
+
 namespace adscope::adblock {
 namespace {
+
+std::uint64_t allocations() {
+  return g_allocations.load(std::memory_order_relaxed);
+}
 
 using http::RequestType;
 
@@ -55,6 +86,29 @@ TEST_F(EngineTest, BlockedByEasyList) {
   EXPECT_EQ(result.decision, Decision::kBlocked);
   EXPECT_EQ(result.list, easylist_);
   EXPECT_TRUE(result.is_ad());
+}
+
+TEST_F(EngineTest, WarmEngineClassifyDoesNotAllocate) {
+  const auto request = ad_request("http://adnet.test/banners/a.gif");
+  const auto miss = ad_request("http://plain.test/logo.png");
+  TokenScratch scratch;
+  // Warm the scratch and the engine once per request; from here the
+  // classify path owns no heap.
+  for (const auto* warm : {&request, &miss}) {
+    (void)engine_.classify(RequestView(*warm),
+                           scratch.tokenize(warm->url_lower));
+  }
+
+  const auto before = allocations();
+  for (int i = 0; i < 500; ++i) {
+    const auto tokens = scratch.tokenize(request.url_lower);
+    const auto verdict = engine_.classify(RequestView(request), tokens);
+    ASSERT_EQ(verdict.decision, Decision::kBlocked);
+    const auto miss_tokens = scratch.tokenize(miss.url_lower);
+    const auto miss_verdict = engine_.classify(RequestView(miss), miss_tokens);
+    ASSERT_EQ(miss_verdict.decision, Decision::kNoMatch);
+  }
+  EXPECT_EQ(allocations(), before);
 }
 
 TEST_F(EngineTest, BlockedByEasyPrivacy) {

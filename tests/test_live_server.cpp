@@ -2,10 +2,11 @@
 //
 // The acceptance-grade test here is EndToEnd.ReplayMatchesOfflineStudy:
 // a trace replayed over TCP into the daemon stack must yield the same
-// full report (and the same /study/summary JSON) as an offline serial
-// study over the identical record order. Plus: graceful stop loses no
-// accepted record, malformed streams are counted not fatal, and the
-// HTTP routes answer correctly both in-process and over the wire.
+// full report (and, through the snapshot store, the same /study/summary
+// JSON) as an offline serial study over the identical record order.
+// Plus: graceful stop loses no accepted record, malformed streams are
+// counted not fatal, and the HTTP routes answer correctly both
+// in-process and over the wire.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -22,10 +23,11 @@
 #include "live/live_study.h"
 #include "live/replay.h"
 #include "live/stream_server.h"
-#include "live/study_json.h"
 #include "sim/ecosystem.h"
 #include "sim/listgen.h"
 #include "sim/rbn_sim.h"
+#include "store/store_service.h"
+#include "store/study_json.h"
 #include "trace/writer.h"
 #include "util/net_backend.h"
 #include "util/socket.h"
@@ -109,6 +111,31 @@ class LiveServerTest : public ::testing::Test {
     options.bucket_seconds = sample_trace().meta().duration_s;
     return options;
   }
+  /// A snapshot store fed by `options.on_seal`, as adscoped wires it:
+  /// the /study and /query routes answer from it. It must outlive the
+  /// LiveStudy built from `options`; call wire_live_stats once that
+  /// study exists.
+  static std::unique_ptr<store::StoreService> make_store(
+      live::LiveStudyOptions& options) {
+    store::StoreServiceOptions store_options;
+    store_options.tree.study = options.study;
+    store_options.tree.bucket_seconds = options.bucket_seconds;
+    auto store =
+        std::make_unique<store::StoreService>(store_options, &eco().asn_db());
+    options.on_seal = [sink = store.get()](std::uint64_t bucket_id,
+                                           std::size_t shard,
+                                           const core::TraceStudy& sealed) {
+      sink->tree().ingest(bucket_id, shard, sealed);
+    };
+    return store;
+  }
+  static void wire_live_stats(store::StoreService& store,
+                              const live::LiveStudy& study) {
+    store.set_live_stats([&study] {
+      return store::LiveStats{study.watermark_ms(), study.records_ingested(),
+                              study.total_drops(), study.current_bucket()};
+    });
+  }
   static std::string report_of(const core::StudyView& view) {
     return core::render_full_report(view, &eco().asn_db());
   }
@@ -150,10 +177,13 @@ TEST_F(LiveServerTest, EndToEndReplayMatchesOfflineStudy) {
   offline.finish();
   const auto offline_report = report_of(offline.view());
 
-  live::LiveStudy study(engine(), eco().abp_registry(), live_options(2));
+  auto options = live_options(2);
+  const auto store = make_store(options);
+  live::LiveStudy study(engine(), eco().abp_registry(), options);
+  wire_live_stats(*store, study);
   live::TraceStreamServer server(study, util::ListenSocket::tcp(0));
   live::HttpEndpoint endpoint(study, util::ListenSocket::tcp(0),
-                              &eco().asn_db(), &server);
+                              &eco().asn_db(), &server, store.get());
   server.start();
   endpoint.start();
   ASSERT_NE(server.port(), 0);
@@ -179,7 +209,7 @@ TEST_F(LiveServerTest, EndToEndReplayMatchesOfflineStudy) {
   // rendering of the offline-equivalent snapshot.
   const auto wire = http_get(endpoint.port(), "/study/summary");
   EXPECT_NE(wire.find("HTTP/1.1 200 OK"), std::string::npos);
-  EXPECT_EQ(body_of(wire), live::summary_json(study.snapshot()));
+  EXPECT_EQ(body_of(wire), store::summary_json(study.snapshot()));
 
   const auto metrics =
       body_of(http_get(endpoint.port(), "/metrics"));
@@ -295,8 +325,12 @@ TEST_F(LiveServerTest, PacedReplayStillDeliversEverything) {
 // HttpEndpoint routing (in-process) and transport behavior.
 
 TEST_F(LiveServerTest, EndpointRoutes) {
-  live::LiveStudy study(engine(), eco().abp_registry(), live_options(1));
-  live::HttpEndpoint endpoint(study, util::ListenSocket::tcp(0));
+  auto options = live_options(1);
+  const auto store = make_store(options);
+  live::LiveStudy study(engine(), eco().abp_registry(), options);
+  wire_live_stats(*store, study);
+  live::HttpEndpoint endpoint(study, util::ListenSocket::tcp(0), nullptr,
+                              nullptr, store.get());
 
   EXPECT_EQ(endpoint.handle("GET", "/healthz").status, 200);
   EXPECT_EQ(endpoint.handle("GET", "/healthz").body, "ok\n");
@@ -311,6 +345,23 @@ TEST_F(LiveServerTest, EndpointRoutes) {
   EXPECT_EQ(endpoint.handle("GET", "/study/nope").status, 404);
   EXPECT_EQ(endpoint.handle("GET", "/").status, 404);
   EXPECT_EQ(endpoint.handle("POST", "/healthz").status, 405);
+  study.close();
+}
+
+TEST_F(LiveServerTest, StudyRoutesWithoutAStoreAnswerTheQuery404) {
+  live::LiveStudy study(engine(), eco().abp_registry(), live_options(1));
+  live::HttpEndpoint endpoint(study, util::ListenSocket::tcp(0));
+
+  const auto query = endpoint.handle("GET", "/query/summary/*");
+  ASSERT_EQ(query.status, 404);
+  for (const char* target : {"/study/summary", "/study/summary?window_s=60",
+                             "/study/nope"}) {
+    const auto legacy = endpoint.handle("GET", target);
+    EXPECT_EQ(legacy.status, 404) << target;
+    EXPECT_EQ(legacy.content_type, query.content_type) << target;
+    EXPECT_EQ(legacy.body, query.body) << target;
+    EXPECT_TRUE(legacy.etag.empty()) << target;
+  }
   study.close();
 }
 

@@ -18,11 +18,11 @@
 #include "core/study.h"
 #include "live/live_study.h"
 #include "live/replay.h"
-#include "live/study_json.h"
 #include "sim/ecosystem.h"
 #include "sim/listgen.h"
 #include "sim/rbn_sim.h"
 #include "stats/json.h"
+#include "store/study_json.h"
 #include "trace/stream.h"
 #include "trace/writer.h"
 
@@ -497,7 +497,7 @@ TEST_F(LiveStudyTest, SummaryJsonCarriesTheHeadlineNumbers) {
   study.seal_all();
   study.flush();
   const auto snapshot = study.snapshot();
-  const auto json = live::summary_json(snapshot);
+  const auto json = store::summary_json(snapshot);
   EXPECT_NE(json.find("\"trace\":{\"name\":\"RBN-2\""), std::string::npos);
   EXPECT_NE(json.find("\"requests\":" +
                       std::to_string(epoch_trace().http().size())),
@@ -510,8 +510,8 @@ TEST_F(LiveStudyTest, SummaryJsonCarriesTheHeadlineNumbers) {
   // The other documents render without structural errors and share the
   // window header.
   for (const auto& document :
-       {live::traffic_json(snapshot), live::users_json(snapshot),
-        live::infra_json(snapshot, &eco().asn_db())}) {
+       {store::traffic_json(snapshot), store::users_json(snapshot),
+        store::infra_json(snapshot, &eco().asn_db())}) {
     EXPECT_NE(document.find("\"window\":{\"bucket_seconds\":3600"),
               std::string::npos);
   }

@@ -1,12 +1,13 @@
-// live+store: the /query HTTP surface against the legacy /study routes.
+// live+store: the /query HTTP surface and its legacy /study aliases.
 //
-// The acceptance-grade property: every legacy /study view must be
-// byte-identical to its /query equivalent — with and without the
-// response cache, at 1, 2 and 7 shard threads — because both render
-// through store::study_json over merge-law-equal snapshots. Plus the
-// transport upgrades that rode along: ETag/If-None-Match revalidation
-// (304s on both route families), HTTP/1.1 keep-alive with explicit
-// Connection: close, and the uniform structured 400/404 error bodies.
+// The acceptance-grade property: every legacy /study/<agg> target is an
+// alias of /query/<agg>/* — same status, body and ETag, with and
+// without the response cache, at 1, 2 and 7 shard threads — and the
+// /query bodies equal the LiveStudy's own snapshot rendered through
+// store::study_json. Plus the transport: ETag/If-None-Match
+// revalidation (304s on both route families), HTTP/1.1 keep-alive with
+// explicit Connection: close, and the uniform structured 400/404 error
+// bodies.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,6 +23,7 @@
 #include "sim/listgen.h"
 #include "sim/rbn_sim.h"
 #include "store/store_service.h"
+#include "store/study_json.h"
 #include "trace/record.h"
 #include "util/socket.h"
 
@@ -156,33 +158,60 @@ class QueryApiTest : public ::testing::Test {
 };
 
 TEST_F(QueryApiTest, QueryMatchesLegacyByteForByteAcrossThreadCounts) {
-  const std::pair<std::string, std::string> pairs[] = {
-      {"/study/summary", "/query/summary/*"},
-      {"/study/traffic", "/query/traffic/*"},
-      {"/study/users", "/query/users/*"},
-      {"/study/infra", "/query/infra/*"},
-      {"/study/summary?window_s=900", "/query/summary/*?window_s=900"},
-      {"/study/users?window_s=1200", "/query/users/*?window_s=1200"},
+  const struct {
+    const char* legacy;
+    const char* query;
+    int status;
+  } pairs[] = {
+      {"/study/summary", "/query/summary/*", 200},
+      {"/study/traffic", "/query/traffic/*", 200},
+      {"/study/users", "/query/users/*", 200},
+      {"/study/infra", "/query/infra/*", 200},
+      {"/study/summary?window_s=900", "/query/summary/*?window_s=900", 200},
+      {"/study/users?window_s=1200", "/query/users/*?window_s=1200", 200},
+      {"/study/summary?window_s=abc", "/query/summary/*?window_s=abc", 400},
+      {"/study/summary?window_s=0", "/query/summary/*?window_s=0", 400},
+      {"/study/users?window_s=99999999999999999999999",
+       "/query/users/*?window_s=99999999999999999999999", 400},
+      {"/study/nope", "/query/nope/*", 404},
   };
   for (const std::size_t threads : {1u, 2u, 7u}) {
     Stack cached(threads);
     Stack uncached(threads, /*cache_bytes=*/0);
-    for (const auto& [legacy, query] : pairs) {
-      const auto expect = cached.get(legacy);
-      ASSERT_EQ(expect.status, 200) << legacy;
-      // Cold render, cached render, and cache-disabled render must all
-      // answer the same bytes as the legacy route.
-      const auto cold = cached.get(query);
-      ASSERT_EQ(cold.status, 200) << query;
-      EXPECT_EQ(cold.body, expect.body) << threads << " threads " << query;
-      const auto warm = cached.get(query);
-      EXPECT_EQ(warm.body, expect.body) << threads << " threads " << query;
-      EXPECT_EQ(uncached.get(query).body, uncached.get(legacy).body)
-          << threads << " threads " << query;
+    for (const auto& item : pairs) {
+      SCOPED_TRACE(std::to_string(threads) + " threads " + item.legacy);
+      // Cold render, cached render, and cache-disabled render: the
+      // legacy route answers exactly what its /query target does.
+      const auto cold = cached.get(item.query);
+      ASSERT_EQ(cold.status, item.status);
+      for (auto* stack : {&cached, &uncached}) {
+        const auto query = stack->get(item.query);
+        const auto legacy = stack->get(item.legacy);
+        EXPECT_EQ(legacy.status, query.status);
+        EXPECT_EQ(legacy.body, query.body);
+        EXPECT_EQ(legacy.etag, query.etag);
+        EXPECT_EQ(legacy.body, cold.body);
+      }
     }
     EXPECT_GE(cached.store.cache_counters().hits, 1u);
     EXPECT_EQ(uncached.store.cache_counters().entries, 0u);
+
+    // The store's bodies are the live ring's snapshot, rendered.
+    EXPECT_EQ(cached.get("/study/summary").body,
+              store::summary_json(cached.study.snapshot()));
+    EXPECT_EQ(cached.get("/study/users?window_s=1200").body,
+              store::users_json(cached.study.snapshot_window(1200)));
   }
+}
+
+TEST_F(QueryApiTest, LegacyRouteHitsTheQueryCacheEntry) {
+  Stack stack(2);
+  ASSERT_EQ(stack.get("/query/summary/*").status, 200);  // warm-up render
+  const auto before = stack.store.cache_counters();
+  ASSERT_EQ(stack.get("/study/summary").status, 200);
+  const auto after = stack.store.cache_counters();
+  EXPECT_EQ(after.hits, before.hits + 1);
+  EXPECT_EQ(after.misses, before.misses);
 }
 
 TEST_F(QueryApiTest, EtagRevalidationAnswers304) {
@@ -203,10 +232,13 @@ TEST_F(QueryApiTest, EtagRevalidationAnswers304) {
     EXPECT_EQ(stack.get(target, "*").status, 304) << target;
     EXPECT_EQ(stack.get(target, "\"stale\"").status, 200) << target;
   }
-  // The two route families fingerprint different state: legacy tags
-  // carry the live ring counters, query tags the store epoch.
-  EXPECT_NE(stack.get("/study/summary").etag,
-            stack.get("/query/summary/*").etag);
+  // One fingerprint serves both route families, so a tag fetched
+  // through /query revalidates its legacy alias.
+  const auto query_tag = stack.get("/query/summary/*").etag;
+  EXPECT_EQ(stack.get("/study/summary").etag, query_tag);
+  const auto revalidated = stack.get("/study/summary", query_tag);
+  EXPECT_EQ(revalidated.status, 304);
+  EXPECT_TRUE(revalidated.body.empty());
 }
 
 TEST_F(QueryApiTest, KeepAliveServesManyRequestsPerConnection) {

@@ -3,6 +3,9 @@
 // the event-driven backends are differentially checked against the
 // thread-per-connection oracle.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <atomic>
@@ -267,6 +270,34 @@ TEST_P(ReactorEchoTest, OnTickDrivesIdleTimeouts) {
   EXPECT_EQ(recv_until_eof(client.get()), "");  // closed by on_tick
   EXPECT_TRUE(eventually([&] { return closes.load() == 1; }));
   EXPECT_TRUE(eventually([&] { return reactor_ticks.load() >= 2; }));
+  reactor->stop();
+}
+
+TEST_P(ReactorEchoTest, AcceptedTcpSocketsHaveNoDelay) {
+  auto listener = util::ListenSocket::tcp(0);
+  // Reports the accepted socket's TCP_NODELAY flag as its greeting.
+  class NoDelayProbe final : public util::Reactor::Handler {
+   public:
+    void on_open(util::Reactor::Conn& conn) override {
+      int value = 0;
+      socklen_t size = sizeof(value);
+      const bool ok = ::getsockopt(conn.fd(), IPPROTO_TCP, TCP_NODELAY,
+                                   &value, &size) == 0;
+      conn.send(!ok ? "err" : value != 0 ? "on " : "off");
+      conn.shutdown();
+    }
+    bool on_data(util::Reactor::Conn&, std::string_view) override {
+      return false;
+    }
+  };
+  util::Reactor::Options options;
+  options.tick_ms = 20;
+  auto reactor = util::Reactor::make(GetParam(), options);
+  reactor->serve(listener, [] { return std::make_unique<NoDelayProbe>(); });
+  reactor->start();
+
+  auto client = listener.connect();
+  EXPECT_EQ(recv_until_eof(client.get()), "on ");
   reactor->stop();
 }
 

@@ -145,7 +145,6 @@ int cmd_study(const Args& args) {
 
   core::StudyOptions options;
   options.inference.min_requests = args.get_u64("active-min", 1000);
-  options.classifier.classify_cache = args.get_u64("classify-cache", 4096);
 
   // --threads N shards the pipeline by client IP; N=1 (default) keeps
   // the serial study. Results are identical either way.
@@ -245,19 +244,6 @@ int cmd_study(const Args& args) {
   std::fputs(
       core::render_full_report(view, &world.ecosystem.asn_db()).c_str(),
       stdout);
-  // To stderr, not the report: hit rates depend on sharding and cache
-  // size, and stdout is asserted byte-identical across thread counts.
-  if (view.classifier != nullptr) {
-    const auto hits = view.classifier->classify_cache_hits;
-    const auto lookups = hits + view.classifier->classify_cache_misses;
-    if (lookups > 0) {
-      std::fprintf(stderr, "classify cache: %llu / %llu lookups hit (%.1f%%)\n",
-                   static_cast<unsigned long long>(hits),
-                   static_cast<unsigned long long>(lookups),
-                   100.0 * static_cast<double>(hits) /
-                       static_cast<double>(lookups));
-    }
-  }
   if (log) {
     std::printf("http.log: %llu lines -> %s\n",
                 static_cast<unsigned long long>(log->lines_written()),
@@ -417,7 +403,6 @@ int cmd_query(int argc, char** argv) {
 
   live::LiveStudyOptions options;
   options.study.inference.min_requests = args.get_u64("active-min", 1000);
-  options.study.classifier.classify_cache = args.get_u64("classify-cache", 4096);
   options.threads = args.get_u64("threads", 1);
   options.bucket_seconds = args.get_u64("bucket-s", 300);
   options.window_buckets = UINT64_MAX;  // offline: keep every bucket
@@ -552,8 +537,6 @@ void usage() {
       "             [--active-min N] [--seed S] [--threads N]\n"
       "             [--io mmap|stream]    trace decode surface (default:\n"
       "                                   mmap for regular files)\n"
-      "             [--classify-cache N]  per-shard verdict memo entries\n"
-      "                                   (default 4096, 0 disables)\n"
       "  export-pcap --trace FILE --out FILE\n"
       "  lists    --out-dir DIR [--seed S]\n"
       "  classify --url URL [--page URL] [--type image|script|...]\n"

@@ -24,10 +24,10 @@
 #include "live/http_endpoint.h"
 #include "live/live_study.h"
 #include "live/stream_server.h"
-#include "live/study_json.h"
 #include "sim/ecosystem.h"
 #include "sim/listgen.h"
 #include "store/store_service.h"
+#include "store/study_json.h"
 #include "util/net_backend.h"
 
 namespace {
@@ -79,8 +79,6 @@ void usage() {
       "  --window-s N      sliding window span, seconds (default 86400)\n"
       "  --threads N       analysis shards (default 1; 0 = hw threads)\n"
       "  --active-min N    active-browser request threshold (default 1000)\n"
-      "  --classify-cache N  per-shard classification memo entries\n"
-      "                    (default 4096, 0 disables)\n"
       "  --seed S          filter-list world seed — must match the trace\n"
       "                    producer's (default 42)\n"
       "  --snapshot-out F  final snapshot JSON on shutdown\n"
@@ -109,8 +107,6 @@ int run(const Args& args) {
 
   live::LiveStudyOptions options;
   options.study.inference.min_requests = args.get_u64("active-min", 1000);
-  options.study.classifier.classify_cache =
-      args.get_u64("classify-cache", 4096);
   options.threads = args.get_u64("threads", 1);
   options.bucket_seconds = args.get_u64("bucket-s", 300);
   const auto window_s = args.get_u64("window-s", 86400);
@@ -219,7 +215,7 @@ int run(const Args& args) {
     const auto snapshot = study.snapshot();
     std::ofstream out(snapshot_out);
     if (out) {
-      out << live::summary_json(snapshot) << "\n";
+      out << store::summary_json(snapshot) << "\n";
       std::printf("adscoped: final snapshot -> %s\n", snapshot_out.c_str());
     } else {
       std::fprintf(stderr, "adscoped: cannot write %s\n", snapshot_out.c_str());
