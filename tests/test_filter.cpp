@@ -1,6 +1,8 @@
 // Filter parsing and matching semantics (ABP grammar).
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "adblock/engine.h"
 #include "adblock/filter.h"
 
@@ -209,6 +211,13 @@ struct MatchCase {
   const char* url;
   bool expect;
 };
+
+// ctest names each case after this printout (gtest_discover_tests pretty
+// values); without it gtest dumps the struct's bytes, pointers included,
+// and the names change with every run's load address.
+void PrintTo(const MatchCase& c, std::ostream* os) {
+  *os << c.rule << " vs " << c.url << (c.expect ? " matches" : " misses");
+}
 
 class FilterMatchSweep : public ::testing::TestWithParam<MatchCase> {};
 

@@ -1,6 +1,9 @@
 // ua: User-Agent classification (the §6.1 annotation step).
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string_view>
+
 #include "sim/ua_factory.h"
 #include "ua/user_agent.h"
 #include "util/rng.h"
@@ -13,6 +16,14 @@ struct UaCase {
   BrowserFamily family;
   DeviceClass device;
 };
+
+// Names each ctest case; see PrintTo(MatchCase) in test_filter.cpp. The
+// UA is cut to its first 40 bytes to keep the ctest name short; that
+// prefix plus the expected verdict is unique within the table below.
+void PrintTo(const UaCase& c, std::ostream* os) {
+  *os << to_string(c.family) << '/' << to_string(c.device) << " for '"
+      << std::string_view(c.ua).substr(0, 40) << '\'';
+}
 
 class UaSweep : public ::testing::TestWithParam<UaCase> {};
 

@@ -1,6 +1,9 @@
 // http: URL parsing/resolution, registrable domains, MIME taxonomy.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string_view>
+
 #include "http/mime.h"
 #include "http/public_suffix.h"
 #include "http/url.h"
@@ -201,6 +204,12 @@ struct ExtCase {
   const char* ext;
   std::optional<RequestType> expected;
 };
+
+// Names each ctest case; see PrintTo(MatchCase) in test_filter.cpp.
+void PrintTo(const ExtCase& c, std::ostream* os) {
+  *os << '.' << c.ext << " is "
+      << (c.expected ? to_string(*c.expected) : std::string_view("unmapped"));
+}
 
 class ExtensionTable : public ::testing::TestWithParam<ExtCase> {};
 
