@@ -52,7 +52,6 @@ int main() {
   const auto world = bench::make_world();
   sim::RbnSimulator simulator(world.ecosystem, world.lists, world.seed);
 
-  bench::JsonMetrics json("table2_datasets");
   stats::TextTable table({"Trace", "Start", "Duration", "Subscribers",
                           "HTTPbytes", "HTTPreqs", "TLSflows",
                           "reqs/sub"});
@@ -77,12 +76,6 @@ int main() {
                    options.name.c_str());
       return 1;
     }
-
-    json.record(options.name + ".http_requests",
-                static_cast<double>(counter.http_));
-    json.record(options.name + ".http_bytes",
-                static_cast<double>(counter.bytes_));
-    json.record(options.name + ".tls_flows", static_cast<double>(counter.tls_));
 
     table.add_row({options.name,
                    options.name == "RBN-1" ? "Sat 00:00" : "Tue 15:30",

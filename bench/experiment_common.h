@@ -14,7 +14,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include <memory>
@@ -89,55 +88,6 @@ inline std::unique_ptr<stats::CsvWriter> maybe_csv(
   if (!dir) return nullptr;
   return std::make_unique<stats::CsvWriter>(*dir, name, header);
 }
-
-/// Machine-readable metric sink for the table/figure harnesses, the
-/// text-output counterpart of the micro-benchmarks'
-/// --benchmark_format=json (see the bench_json CMake target). When
-/// ADSCOPE_JSON_DIR is set, the destructor writes
-/// `$ADSCOPE_JSON_DIR/BENCH_<name>.json` with every recorded metric;
-/// otherwise the object is inert, so harnesses can record
-/// unconditionally.
-class JsonMetrics {
- public:
-  explicit JsonMetrics(std::string name) : name_(std::move(name)) {
-    const char* dir = std::getenv("ADSCOPE_JSON_DIR");
-    if (dir != nullptr && *dir != '\0') {
-      path_ = std::string(dir) + "/BENCH_" + name_ + ".json";
-    }
-  }
-
-  JsonMetrics(const JsonMetrics&) = delete;
-  JsonMetrics& operator=(const JsonMetrics&) = delete;
-
-  bool enabled() const noexcept { return !path_.empty(); }
-
-  void record(const std::string& key, double value) {
-    if (enabled()) metrics_.emplace_back(key, value);
-  }
-
-  ~JsonMetrics() {
-    if (!enabled()) return;
-    std::FILE* out = std::fopen(path_.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "JsonMetrics: cannot write %s\n", path_.c_str());
-      return;
-    }
-    std::fprintf(out, "{\n  \"name\": \"%s\",\n  \"metrics\": {",
-                 name_.c_str());
-    for (std::size_t i = 0; i < metrics_.size(); ++i) {
-      std::fprintf(out, "%s\n    \"%s\": %.17g", i == 0 ? "" : ",",
-                   metrics_[i].first.c_str(), metrics_[i].second);
-    }
-    std::fprintf(out, "\n  }\n}\n");
-    std::fclose(out);
-    std::printf("json metrics -> %s\n", path_.c_str());
-  }
-
- private:
-  std::string name_;
-  std::string path_;
-  std::vector<std::pair<std::string, double>> metrics_;
-};
 
 inline void preamble(const char* experiment, const char* paper_claim) {
   std::printf("==============================================================\n");

@@ -64,7 +64,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const auto hash = adscope::fuzz::fnv1a(adscope::fuzz::as_view(data, size));
   MmapTraceReader::Options options;
   options.batch_records = 1 + static_cast<std::size_t>(hash % 64);
-  options.prefetch = (hash & 64) != 0;
 
   try {
     MmapTraceReader reader(data, size, options);

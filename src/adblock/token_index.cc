@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "util/simd.h"
@@ -133,10 +132,7 @@ std::span<const std::uint64_t> TokenScratch::tokenize(
   return {inline_.data(), count};
 }
 
-std::atomic<bool> TokenIndex::prefilter_enabled_{[] {
-  const char* env = std::getenv("ADSCOPE_TEDDY");
-  return env == nullptr || std::string_view(env) != "off";
-}()};
+std::atomic<bool> TokenIndex::prefilter_enabled_{true};
 
 void TokenIndex::set_prefilter_enabled(bool enabled) noexcept {
   prefilter_enabled_.store(enabled, std::memory_order_relaxed);

@@ -100,9 +100,9 @@ class TokenIndex {
                      std::forward<Fn>(fn));
   }
 
-  /// Global prefilter kill switch (initialized from ADSCOPE_TEDDY, "off"
-  /// disables); bench ablations toggle it at runtime. Decisions are
-  /// unchanged either way — only the probe count moves.
+  /// Global prefilter kill switch (on by default); the prefilter
+  /// identity test toggles it at runtime. Decisions are unchanged either
+  /// way — only the probe count moves.
   static void set_prefilter_enabled(bool enabled) noexcept;
   static bool prefilter_enabled() noexcept;
 
@@ -116,8 +116,7 @@ class TokenIndex {
   std::size_t table_slots() const noexcept { return table_.size(); }
 
   /// Bytes held by the finalized flat layout (probe table + candidate
-  /// arena + bloom words + teddy bucket bits). The lint bench reports
-  /// this for the original vs. pruned engine; 0 before finalize().
+  /// arena + bloom words + teddy bucket bits); 0 before finalize().
   std::size_t approx_memory_bytes() const noexcept {
     return table_.size() * sizeof(Probe) +
            arena_.size() * sizeof(const Filter*) +

@@ -77,17 +77,13 @@ MmapTraceReader::MmapTraceReader(const std::string& path, Options options)
   // Decode is a single forward pass; tell the kernel to read ahead and
   // (where supported) to back the mapping with transparent huge pages.
   // Advice is best-effort but never silently ignored: each return is
-  // recorded in advice_stats() so callers and benches can see which
-  // hints actually took (MADV_HUGEPAGE in particular is EINVAL on
-  // kernels built without THP).
+  // recorded in advice_stats() so callers can see which hints actually
+  // took (MADV_HUGEPAGE in particular is EINVAL on kernels built without
+  // THP).
   advice_.sequential = ::madvise(map, size_, MADV_SEQUENTIAL) == 0;
-  if (options_.madv_willneed) {
-    advice_.willneed = ::madvise(map, size_, MADV_WILLNEED) == 0;
-  }
+  advice_.willneed = ::madvise(map, size_, MADV_WILLNEED) == 0;
 #ifdef MADV_HUGEPAGE
-  if (options_.madv_hugepage) {
-    advice_.hugepage = ::madvise(map, size_, MADV_HUGEPAGE) == 0;
-  }
+  advice_.hugepage = ::madvise(map, size_, MADV_HUGEPAGE) == 0;
 #endif
   try {
     decode_header();
@@ -207,11 +203,10 @@ std::uint64_t MmapTraceReader::run(TraceBatchSink* sink, RawSink* raw) {
   ByteCursor cursor{map_ + records_begin_, map_ + size_};
   std::uint64_t records = 0;
   std::uint64_t tag = 0;
-  const bool prefetch = options_.prefetch;
   const char* const map_end = map_ + size_;
   for (;;) {
     const char* record_start = cursor.p;
-    if (prefetch && record_start + 512 < map_end) {
+    if (record_start + 512 < map_end) {
       // Records average well under 256 bytes, so ~2 records ahead: far
       // enough to cover the decode latency of the current one, close
       // enough that the lines are still resident when reached.

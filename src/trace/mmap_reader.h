@@ -43,21 +43,15 @@ class MmapTraceReader {
     /// Records per batch handed to TraceBatchSink (order-preserving:
     /// a batch never spans a kind switch).
     std::size_t batch_records = 512;
-    /// madvise(MADV_WILLNEED): start readahead for the whole mapping at
-    /// construction instead of on first fault per window.
-    bool madv_willneed = true;
-    /// madvise(MADV_HUGEPAGE): back the mapping with transparent huge
-    /// pages where the kernel can — 512x fewer TLB entries for the
-    /// sequential decode walk. Ignored (recorded as off in
-    /// advice_stats()) on kernels without THP support.
-    bool madv_hugepage = true;
-    /// __builtin_prefetch a few cache lines ahead of the decode cursor.
-    bool prefetch = true;
   };
 
   /// Which pieces of mapping advice actually took effect (each ::madvise
-  /// return is checked; a false here means the kernel refused or the
-  /// option was disabled, never silent failure).
+  /// return is checked; a false here means the kernel refused, or the
+  /// reader decodes a caller's buffer and gave no advice — never silent
+  /// failure). The mmap constructor always asks for
+  /// MADV_SEQUENTIAL, MADV_WILLNEED (readahead for the whole mapping
+  /// up front) and, where the kernel has THP, MADV_HUGEPAGE (512x fewer
+  /// TLB entries for the sequential decode walk).
   struct AdviceStats {
     bool sequential = false;
     bool willneed = false;

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <initializer_list>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -163,6 +164,9 @@ class LiveServerTest : public ::testing::Test {
     const auto at = response.find("\r\n\r\n");
     return at == std::string::npos ? std::string() : response.substr(at + 4);
   }
+  static void expect_fan_in_identical(
+      std::size_t connections,
+      std::initializer_list<std::size_t> thread_counts);
 };
 
 // ---------------------------------------------------------------------------
@@ -393,10 +397,11 @@ TEST_F(LiveServerTest, EndpointOverTheWire) {
 // the offline serial study no matter which backend served the sockets
 // or how many ingest threads raced, and a clean shutdown must lose no
 // accepted record.
-
-TEST_F(LiveServerTest, FanInReportIsByteIdenticalAcrossBackends) {
-  constexpr std::size_t kConnections = 6;
-
+//
+// Runs the same check at `connections` fan-in for every backend and
+// each ingest thread count in `thread_counts`.
+void LiveServerTest::expect_fan_in_identical(
+    std::size_t connections, std::initializer_list<std::size_t> thread_counts) {
   // Offline reference over the time-sorted trace.
   trace::MemoryTrace sorted = sample_trace();
   live::sort_by_time(sorted);
@@ -408,28 +413,27 @@ TEST_F(LiveServerTest, FanInReportIsByteIdenticalAcrossBackends) {
   // Per-connection wire bytes: meta + that connection's records (time
   // order preserved from the sorted trace), no end marker — shutdown
   // must not depend on a polite peer.
-  std::vector<std::string> wires(kConnections);
+  std::vector<std::string> wires(connections);
   {
-    std::vector<std::ostringstream> outs(kConnections);
+    std::vector<std::ostringstream> outs(connections);
     std::vector<std::unique_ptr<trace::TraceEncoder>> encoders;
     for (auto& out : outs) {
       encoders.push_back(std::make_unique<trace::TraceEncoder>(out));
       encoders.back()->on_meta(sorted.meta());
     }
     for (const auto& txn : sorted.http()) {
-      encoders[txn.client_ip % kConnections]->on_http(txn);
+      encoders[txn.client_ip % connections]->on_http(txn);
     }
     for (const auto& flow : sorted.tls()) {
-      encoders[flow.client_ip % kConnections]->on_tls(flow);
+      encoders[flow.client_ip % connections]->on_tls(flow);
     }
-    for (std::size_t i = 0; i < kConnections; ++i) wires[i] = outs[i].str();
+    for (std::size_t i = 0; i < connections; ++i) wires[i] = outs[i].str();
   }
 
   for (const auto backend : {util::NetBackend::kThreads,
                              util::NetBackend::kEpoll,
                              util::NetBackend::kUring}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                      std::size_t{7}}) {
+    for (const std::size_t threads : thread_counts) {
       SCOPED_TRACE(std::string("backend=") + util::to_string(backend) +
                    " threads=" + std::to_string(threads));
       live::LiveStudy study(engine(), eco().abp_registry(),
@@ -443,7 +447,7 @@ TEST_F(LiveServerTest, FanInReportIsByteIdenticalAcrossBackends) {
       server.start();
 
       std::vector<std::thread> clients;
-      for (std::size_t i = 0; i < kConnections; ++i) {
+      for (std::size_t i = 0; i < connections; ++i) {
         clients.emplace_back([&, i] {
           auto fd = util::connect_tcp("127.0.0.1", server.port());
           // Small chunks force mid-record feeds through the decoder's
@@ -458,8 +462,10 @@ TEST_F(LiveServerTest, FanInReportIsByteIdenticalAcrossBackends) {
       }
       for (auto& client : clients) client.join();
 
-      ASSERT_TRUE(eventually(
-          [&] { return study.records_ingested() == sample_records(); }));
+      ASSERT_TRUE(eventually([&] {
+        return study.records_ingested() == sample_records() &&
+               server.connections_total() == connections;
+      }));
 
       // The daemon's SIGTERM sequence: lossless by construction.
       server.stop();
@@ -468,7 +474,8 @@ TEST_F(LiveServerTest, FanInReportIsByteIdenticalAcrossBackends) {
       const auto snapshot = study.snapshot();
       study.close();
 
-      EXPECT_EQ(server.connections_total(), kConnections);
+      EXPECT_EQ(server.connections_total(), connections);
+      EXPECT_EQ(server.connections_rejected(), 0u);
       EXPECT_EQ(server.decode_errors(), 0u);
       EXPECT_EQ(snapshot.records_ingested, sample_records());
       EXPECT_EQ(snapshot.records_dropped, 0u);
@@ -477,6 +484,17 @@ TEST_F(LiveServerTest, FanInReportIsByteIdenticalAcrossBackends) {
           << "live report diverged from the offline reference";
     }
   }
+}
+
+TEST_F(LiveServerTest, FanInReportIsByteIdenticalAcrossBackends) {
+  expect_fan_in_identical(6, {1, 2, 7});
+}
+
+// At the ingest server's default max_connections cap (64): no stall,
+// every record ingested, nothing rejected. The cap also sizes the
+// io_uring backend's provided-buffer pool (max_connections + 64).
+TEST_F(LiveServerTest, FanInAtConnectionCapIsByteIdenticalAcrossBackends) {
+  expect_fan_in_identical(live::StreamServerOptions{}.max_connections, {2});
 }
 
 TEST_F(LiveServerTest, IngestOverCapacityIsCountedAndClosed) {
