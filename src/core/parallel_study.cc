@@ -4,9 +4,66 @@
 #include <stdexcept>
 #include <utility>
 
+#include "trace/mmap_reader.h"
 #include "util/hash.h"
 
 namespace adscope::core {
+
+namespace {
+
+std::size_t shard_of(netdb::IpV4 client_ip, std::size_t shards) noexcept {
+  // FNV over the IP (not the raw value): client addresses share prefixes,
+  // and modulo on sequential integers would lump whole subnets together.
+  return util::fnv1a_u64(client_ip) % shards;
+}
+
+/// One shard's cursor. It sees every record of the mapping (the
+/// dictionary is defined inline across all of them) but feeds its study
+/// only the ones whose client hashes to its shard, materializing each
+/// into one reused scratch record.
+class ShardCursor final : public trace::TraceBatchSink {
+ public:
+  ShardCursor(TraceStudy& study, std::size_t shard, std::size_t shards,
+              std::uint64_t& records)
+      : study_(study), shard_(shard), shards_(shards), records_(records) {}
+
+  void on_meta(const trace::TraceMeta& meta) override { study_.on_meta(meta); }
+  void on_http_batch(std::span<const trace::HttpTransactionView> batch) override {
+    for (const auto& view : batch) {
+      if (shard_of(view.client_ip, shards_) != shard_) continue;
+      trace::materialize(view, scratch_);
+      study_.on_http(scratch_);
+      ++records_;
+    }
+  }
+  void on_tls_batch(std::span<const trace::TlsFlowView> batch) override {
+    for (const auto& flow : batch) {
+      if (shard_of(flow.client_ip, shards_) != shard_) continue;
+      study_.on_tls(flow);
+      ++records_;
+    }
+  }
+
+ private:
+  TraceStudy& study_;
+  std::size_t shard_;
+  std::size_t shards_;
+  std::uint64_t& records_;
+  trace::HttpTransaction scratch_;
+};
+
+/// Waits for every future still valid, so no task outlives the frame
+/// whose locals it references — also when submit() or a task throws.
+struct JoinOnExit {
+  std::vector<std::future<void>>& tasks;
+  ~JoinOnExit() {
+    for (auto& task : tasks) {
+      if (task.valid()) task.wait();
+    }
+  }
+};
+
+}  // namespace
 
 ParallelTraceStudy::ParallelTraceStudy(const adblock::FilterEngine& engine,
                                        const netdb::AbpServerRegistry& registry,
@@ -36,31 +93,6 @@ ParallelTraceStudy::ParallelTraceStudy(const adblock::FilterEngine& engine,
   for (std::size_t i = 0; i < shards; ++i) {
     shards_.push_back(std::make_unique<Shard>(engine, registry, options_.study,
                                               queue_items));
-    shards_.back()->pending_http.reserve(options_.dispatch_batch_records);
-    shards_.back()->pending_tls.reserve(options_.dispatch_batch_records);
-  }
-  for (auto& shard : shards_) {
-    Shard* s = shard.get();
-    s->done = pool_->submit([s] {
-      Item item;
-      while (s->queue.pop(item)) {
-        std::visit(
-            [s](const auto& batch) {
-              using T = std::decay_t<decltype(batch)>;
-              if constexpr (std::is_same_v<T, trace::TraceMeta>) {
-                s->study.on_meta(batch);
-              } else if constexpr (std::is_same_v<
-                                       T,
-                                       std::vector<trace::HttpTransaction>>) {
-                for (const auto& txn : batch) s->study.on_http(txn);
-              } else {
-                for (const auto& flow : batch) s->study.on_tls(flow);
-              }
-            },
-            item);
-      }
-      s->study.finish();
-    });
   }
 }
 
@@ -74,10 +106,45 @@ ParallelTraceStudy::~ParallelTraceStudy() {
   }
 }
 
-std::size_t ParallelTraceStudy::shard_of(netdb::IpV4 client_ip) const noexcept {
-  // FNV over the IP (not the raw value): client addresses share prefixes,
-  // and modulo on sequential integers would lump whole subnets together.
-  return util::fnv1a_u64(client_ip) % shards_.size();
+ParallelTraceStudy::Shard& ParallelTraceStudy::shard_for(
+    netdb::IpV4 client_ip) {
+  return *shards_[shard_of(client_ip, shards_.size())];
+}
+
+void ParallelTraceStudy::start_queues() {
+  if (feed_ == Feed::kCursors) {
+    throw std::logic_error(
+        "ParallelTraceStudy: records fed after a mapped replay (its "
+        "shards are already finished)");
+  }
+  feed_ = Feed::kQueues;
+  for (auto& shard : shards_) {
+    Shard* s = shard.get();
+    s->pending_http.reserve(options_.dispatch_batch_records);
+    s->pending_tls.reserve(options_.dispatch_batch_records);
+    s->done = pool_->submit([s] {
+      Item item;
+      while (s->queue.pop(item)) {
+        std::visit(
+            [s](const auto& batch) {
+              using T = std::decay_t<decltype(batch)>;
+              if constexpr (std::is_same_v<T, trace::TraceMeta>) {
+                s->study.on_meta(batch);
+              } else if constexpr (std::is_same_v<
+                                       T,
+                                       std::vector<trace::HttpTransaction>>) {
+                for (const auto& txn : batch) s->study.on_http(txn);
+                s->records += batch.size();
+              } else {
+                for (const auto& flow : batch) s->study.on_tls(flow);
+                s->records += batch.size();
+              }
+            },
+            item);
+      }
+      s->study.finish();
+    });
+  }
 }
 
 void ParallelTraceStudy::flush_http(Shard& shard) {
@@ -95,6 +162,7 @@ void ParallelTraceStudy::flush_tls(Shard& shard) {
 }
 
 void ParallelTraceStudy::on_meta(const trace::TraceMeta& meta) {
+  if (feed_ != Feed::kQueues) start_queues();
   meta_ = meta;
   for (auto& shard : shards_) {
     flush_http(*shard);
@@ -104,7 +172,8 @@ void ParallelTraceStudy::on_meta(const trace::TraceMeta& meta) {
 }
 
 void ParallelTraceStudy::on_http(const trace::HttpTransaction& txn) {
-  Shard& shard = *shards_[shard_of(txn.client_ip)];
+  if (feed_ != Feed::kQueues) start_queues();
+  Shard& shard = shard_for(txn.client_ip);
   flush_tls(shard);  // preserve per-shard record order across kinds
   shard.pending_http.push_back(txn);
   if (shard.pending_http.size() >= options_.dispatch_batch_records) {
@@ -113,7 +182,8 @@ void ParallelTraceStudy::on_http(const trace::HttpTransaction& txn) {
 }
 
 void ParallelTraceStudy::on_http_owned(trace::HttpTransaction&& txn) {
-  Shard& shard = *shards_[shard_of(txn.client_ip)];
+  if (feed_ != Feed::kQueues) start_queues();
+  Shard& shard = shard_for(txn.client_ip);
   flush_tls(shard);
   shard.pending_http.push_back(std::move(txn));
   if (shard.pending_http.size() >= options_.dispatch_batch_records) {
@@ -122,7 +192,8 @@ void ParallelTraceStudy::on_http_owned(trace::HttpTransaction&& txn) {
 }
 
 void ParallelTraceStudy::on_tls(const trace::TlsFlow& flow) {
-  Shard& shard = *shards_[shard_of(flow.client_ip)];
+  if (feed_ != Feed::kQueues) start_queues();
+  Shard& shard = shard_for(flow.client_ip);
   flush_http(shard);  // preserve per-shard record order across kinds
   shard.pending_tls.push_back(flow);
   if (shard.pending_tls.size() >= options_.dispatch_batch_records) {
@@ -132,10 +203,10 @@ void ParallelTraceStudy::on_tls(const trace::TlsFlow& flow) {
 
 void ParallelTraceStudy::on_http_batch(
     std::span<const trace::HttpTransactionView> batch) {
-  // The one place a zero-copy view becomes an owning record: it is
-  // about to cross a thread, so it must own its strings.
+  if (feed_ != Feed::kQueues) start_queues();
+  // A view about to cross a thread must own its strings.
   for (const auto& view : batch) {
-    Shard& shard = *shards_[shard_of(view.client_ip)];
+    Shard& shard = shard_for(view.client_ip);
     flush_tls(shard);
     shard.pending_http.emplace_back();
     trace::materialize(view, shard.pending_http.back());
@@ -150,16 +221,61 @@ void ParallelTraceStudy::on_tls_batch(
   for (const auto& flow : batch) on_tls(flow);
 }
 
+std::optional<std::uint64_t> ParallelTraceStudy::replay_mapped(
+    const trace::MmapTraceReader& reader) {
+  if (feed_ == Feed::kQueues) return std::nullopt;
+  if (feed_ == Feed::kCursors) {
+    throw std::logic_error(
+        "ParallelTraceStudy: a second mapped replay (its shards are "
+        "already finished)");
+  }
+  feed_ = Feed::kCursors;
+  meta_ = reader.meta();
+
+  const void* const data = reader.data();
+  const auto size = static_cast<std::size_t>(reader.file_size());
+  std::vector<std::uint64_t> replayed(shards_.size());
+  std::vector<std::future<void>> cursors;
+  const JoinOnExit join{cursors};
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    cursors.push_back(pool_->submit([this, data, size, i, &replayed] {
+      Shard& shard = *shards_[i];
+      trace::MmapTraceReader cursor(data, size);
+      ShardCursor sink(shard.study, i, shards_.size(), shard.records);
+      replayed[i] = cursor.replay_batches(sink);
+      shard.study.finish();
+    }));
+  }
+  for (auto& cursor : cursors) cursor.get();  // rethrows a cursor's error
+  return replayed.front();
+}
+
 void ParallelTraceStudy::finish() {
   if (finished_) return;
-  for (auto& shard : shards_) {
-    flush_http(*shard);
-    flush_tls(*shard);
-    shard->queue.close();
+  switch (feed_) {
+    case Feed::kNone:  // nothing fed: the shards only need closing
+      for (auto& shard : shards_) shard->study.finish();
+      break;
+    case Feed::kQueues:
+      for (auto& shard : shards_) {
+        flush_http(*shard);
+        flush_tls(*shard);
+        shard->queue.close();
+      }
+      for (auto& shard : shards_) shard->done.get();  // rethrows worker errors
+      break;
+    case Feed::kCursors:  // each cursor finished its shard's study
+      break;
   }
-  for (auto& shard : shards_) shard->done.get();  // rethrows worker errors
   merge_shards();
   finished_ = true;
+}
+
+std::vector<std::uint64_t> ParallelTraceStudy::shard_records() const {
+  std::vector<std::uint64_t> records;
+  records.reserve(shards_.size());
+  for (const auto& shard : shards_) records.push_back(shard->records);
+  return records;
 }
 
 void ParallelTraceStudy::merge_shards() {

@@ -82,7 +82,8 @@ class Url {
     scheme_.clear();
     host_.clear();
     port_ = 0;
-    path_.assign("/");
+    path_.assign(1, '/');  // the fill overload: GCC 12 misreads the
+                           // memcpy under assign("/") as -Wrestrict
     query_.clear();
   }
 

@@ -150,6 +150,7 @@ std::uint64_t MmapTraceReader::replay(TraceSink& sink) {
 }
 
 std::uint64_t MmapTraceReader::replay_batches(TraceBatchSink& sink) {
+  if (const auto records = sink.replay_mapped(*this)) return *records;
   return run(&sink, nullptr);
 }
 

@@ -79,6 +79,11 @@ class MmapTraceReader {
 
   const TraceMeta& meta() const noexcept { return meta_; }
   std::uint64_t file_size() const noexcept { return size_; }
+  /// The whole encoded trace (header included), valid for the reader's
+  /// lifetime. A second MmapTraceReader(data(), file_size()) is an
+  /// independent cursor over the same bytes: the sharded study runs one
+  /// per shard.
+  const void* data() const noexcept { return map_; }
   const AdviceStats& advice_stats() const noexcept { return advice_; }
 
   /// Replays every record into a per-record sink via the materializing
@@ -87,7 +92,8 @@ class MmapTraceReader {
   std::uint64_t replay(TraceSink& sink);
 
   /// Zero-copy batched replay. Returns the number of records delivered
-  /// (meta excluded).
+  /// (meta excluded). A sink whose replay_mapped() accepts this reader
+  /// replays the mapping itself instead (see TraceBatchSink).
   std::uint64_t replay_batches(TraceBatchSink& sink);
 
   /// One record's raw wire bytes (tag included), plus the fields replay

@@ -15,12 +15,16 @@
 // HttpTransactionView.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <span>
 #include <string_view>
 
 #include "trace/record.h"
 
 namespace adscope::trace {
+
+class MmapTraceReader;
 
 /// HttpTransaction with borrowed string fields. Field order and
 /// semantics match trace::HttpTransaction exactly.
@@ -110,6 +114,18 @@ class TraceBatchSink {
   virtual void on_meta(const TraceMeta& meta) = 0;
   virtual void on_http_batch(std::span<const HttpTransactionView> batch) = 0;
   virtual void on_tls_batch(std::span<const TlsFlowView> batch) = 0;
+
+  /// Consulted by MmapTraceReader::replay_batches before it decodes
+  /// anything: a sink that can walk the mapping itself (the sharded
+  /// study runs one cursor per shard) replays it and returns the record
+  /// count replay_batches would have returned. The default declines, and
+  /// the reader delivers batches as usual. A wrapper that forwards the
+  /// batch calls but not this hook keeps its inner sink on the batch
+  /// path.
+  virtual std::optional<std::uint64_t> replay_mapped(
+      const MmapTraceReader& /*reader*/) {
+    return std::nullopt;
+  }
 };
 
 /// Default adapter preserving the per-record TraceSink contract: each

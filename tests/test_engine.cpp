@@ -3,40 +3,11 @@
 // zero-allocation guarantee of the warm classify path.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 #include "adblock/engine.h"
-
-// --- global allocation-counting hook ---------------------------------
-// Counts every operator-new in the binary; tests snapshot the counter
-// around a region to assert the hot paths stay off the heap.
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}
-
-void* operator new(std::size_t size) {
-  ++g_allocations;
-  if (void* ptr = std::malloc(size ? size : 1)) return ptr;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  ++g_allocations;
-  if (void* ptr = std::malloc(size ? size : 1)) return ptr;
-  throw std::bad_alloc();
-}
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
+#include "support/alloc_hook.h"
 
 namespace adscope::adblock {
 namespace {
-
-std::uint64_t allocations() {
-  return g_allocations.load(std::memory_order_relaxed);
-}
 
 using http::RequestType;
 
@@ -99,7 +70,7 @@ TEST_F(EngineTest, WarmEngineClassifyDoesNotAllocate) {
                            scratch.tokenize(warm->url_lower));
   }
 
-  const auto before = allocations();
+  const auto before = test::allocation_count();
   for (int i = 0; i < 500; ++i) {
     const auto tokens = scratch.tokenize(request.url_lower);
     const auto verdict = engine_.classify(RequestView(request), tokens);
@@ -108,7 +79,7 @@ TEST_F(EngineTest, WarmEngineClassifyDoesNotAllocate) {
     const auto miss_verdict = engine_.classify(RequestView(miss), miss_tokens);
     ASSERT_EQ(miss_verdict.decision, Decision::kNoMatch);
   }
-  EXPECT_EQ(allocations(), before);
+  EXPECT_EQ(test::allocation_count(), before);
 }
 
 TEST_F(EngineTest, BlockedByEasyPrivacy) {

@@ -9,21 +9,25 @@
 //    threads.
 // Plus unit coverage for the util substrate (ThreadPool, BoundedQueue).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
-
-#include <cstdio>
 
 #include "core/parallel_study.h"
 #include "core/report.h"
 #include "sim/ecosystem.h"
 #include "sim/listgen.h"
 #include "sim/rbn_sim.h"
+#include "trace/io.h"
 #include "trace/mmap_reader.h"
 #include "trace/writer.h"
 #include "util/bounded_queue.h"
@@ -159,6 +163,14 @@ class ParallelStudyTest : public ::testing::Test {
   }
   static std::string report_of(const core::StudyView& view) {
     return core::render_full_report(view, &eco().asn_db());
+  }
+  /// Small dispatch batches, so a queue feed flushes plenty of them.
+  static core::ParallelStudyOptions sharded_options(std::size_t threads) {
+    core::ParallelStudyOptions options;
+    options.study = study_options();
+    options.threads = threads;
+    options.dispatch_batch_records = 64;
+    return options;
   }
 };
 
@@ -317,32 +329,142 @@ TEST_F(ParallelStudyTest, IdenticalReportAtOneTwoAndSevenThreads) {
   }
 }
 
-TEST_F(ParallelStudyTest, MmapBatchReplayIdenticalAtOneTwoAndSevenThreads) {
-  // The zero-copy pipeline end to end: mmap'd file -> view batches ->
-  // shard-boundary materialization -> merged report. Must be
-  // byte-identical to the serial study fed record by record.
-  const std::string path = "/tmp/adscope_test_parallel_mmap.adst";
-  {
-    trace::FileTraceWriter writer(path);
-    sample_trace().replay(writer);
+/// Forwards the batch calls but not TraceBatchSink::replay_mapped, the
+/// way a timing or logging wrapper does: the study behind it is fed
+/// through its queues.
+class ForwardingBatchSink final : public trace::TraceBatchSink {
+ public:
+  explicit ForwardingBatchSink(trace::TraceBatchSink& inner) : inner_(inner) {}
+  void on_meta(const trace::TraceMeta& meta) override { inner_.on_meta(meta); }
+  void on_http_batch(std::span<const trace::HttpTransactionView> batch) override {
+    inner_.on_http_batch(batch);
   }
+  void on_tls_batch(std::span<const trace::TlsFlowView> batch) override {
+    inner_.on_tls_batch(batch);
+  }
+
+ private:
+  trace::TraceBatchSink& inner_;
+};
+
+/// The sample trace written to a file for the mapped-replay cases,
+/// removed again on scope exit (named per process: ctest runs the cases
+/// in parallel processes).
+struct SampleTraceFile {
+  explicit SampleTraceFile(const trace::MemoryTrace& memory)
+      : path("/tmp/adscope_test_parallel_mmap_" + std::to_string(::getpid()) +
+             ".adst") {
+    trace::FileTraceWriter writer(path);
+    memory.replay(writer);
+  }
+  ~SampleTraceFile() { std::remove(path.c_str()); }
+  std::string path;
+};
+
+std::uint64_t record_count(const trace::MemoryTrace& memory) {
+  return memory.http().size() + memory.tls().size();
+}
+
+/// Records per shard at `shards` shards, counted from the trace.
+std::vector<std::uint64_t> shard_split(const trace::MemoryTrace& memory,
+                                       std::size_t shards) {
+  std::vector<std::uint64_t> counts(shards);
+  for (const auto& txn : memory.http()) {
+    ++counts[util::fnv1a_u64(txn.client_ip) % shards];
+  }
+  for (const auto& flow : memory.tls()) {
+    ++counts[util::fnv1a_u64(flow.client_ip) % shards];
+  }
+  return counts;
+}
+
+TEST_F(ParallelStudyTest, MmapBatchReplayIdenticalAtOneTwoAndSevenThreads) {
+  // The cursor feed end to end: one reader per shard over the mapped
+  // file, filtered by shard, merged. It runs on a pool of exactly N
+  // threads (the queue drain loops would hold all of them) and must be
+  // byte-identical to the serial study fed record by record.
+  const SampleTraceFile file(sample_trace());
   const auto serial_report = report_of(serial().view());
   for (const std::size_t threads : {1u, 2u, 7u}) {
-    core::ParallelStudyOptions options;
-    options.study = study_options();
-    options.threads = threads;
-    options.dispatch_batch_records = 64;  // force plenty of flushes
-    core::ParallelTraceStudy study(engine(), eco().abp_registry(), options);
-    trace::MmapTraceReader reader(path);
-    reader.replay_batches(study);
+    util::ThreadPool pool(threads);
+    core::ParallelTraceStudy study(engine(), eco().abp_registry(),
+                                   sharded_options(threads), &pool);
+    trace::MmapTraceReader reader(file.path);
+    EXPECT_EQ(reader.replay_batches(study), record_count(sample_trace()));
     study.finish();
     EXPECT_EQ(report_of(study.view()), serial_report)
-        << "mmap batch report diverged at " << threads << " threads";
+        << "mmap cursor report diverged at " << threads << " threads";
     EXPECT_EQ(study.classifier_counters().processed,
               serial().classifier().counters().processed);
     EXPECT_EQ(study.https_flows(), serial().https_flows());
+    EXPECT_EQ(study.shard_records(), shard_split(sample_trace(), threads));
+    // Only the cursor feed finishes the shards during the replay.
+    EXPECT_THROW(study.on_tls(sample_trace().tls().front()), std::logic_error);
   }
-  std::remove(path.c_str());
+}
+
+TEST_F(ParallelStudyTest, ForwardedBatchReplayUsesQueuesAndIsIdentical) {
+  const SampleTraceFile file(sample_trace());
+  const auto serial_report = report_of(serial().view());
+  for (const std::size_t threads : {1u, 2u, 7u}) {
+    util::ThreadPool pool(threads);
+    core::ParallelTraceStudy study(engine(), eco().abp_registry(),
+                                   sharded_options(threads), &pool);
+    ForwardingBatchSink forward(study);
+    trace::MmapTraceReader reader(file.path);
+    EXPECT_EQ(reader.replay_batches(forward), record_count(sample_trace()));
+    study.finish();
+    EXPECT_EQ(report_of(study.view()), serial_report)
+        << "queued mmap report diverged at " << threads << " threads";
+    EXPECT_EQ(study.classifier_counters().processed,
+              serial().classifier().counters().processed);
+    EXPECT_EQ(study.shard_records(), shard_split(sample_trace(), threads));
+  }
+}
+
+TEST_F(ParallelStudyTest, TruncatedTraceThrowsAfterJoiningEveryCursor) {
+  const SampleTraceFile file(sample_trace());
+  util::ThreadPool pool(3);
+  {
+    // Cut the file inside a record halfway through it: a cut on a
+    // record boundary would read as an interrupted writer, not an error.
+    std::string bytes;
+    {
+      trace::MmapTraceReader full(file.path);
+      struct Spans final : trace::MmapTraceReader::RawSink {
+        std::vector<std::string_view> records;
+        void on_raw(const trace::MmapTraceReader::RawRecord& record) override {
+          records.push_back(record.bytes);
+        }
+      } spans;
+      full.replay_raw(spans);
+      ASSERT_GT(spans.records.size(), 2u);
+      const auto cut = spans.records[spans.records.size() / 2];
+      ASSERT_GT(cut.size(), 1u);
+      const auto* begin = static_cast<const char*>(full.data());
+      bytes.assign(begin, static_cast<std::size_t>(cut.data() - begin) +
+                              cut.size() / 2);
+    }
+    core::ParallelStudyOptions options;
+    options.study = study_options();
+    options.threads = 3;
+    core::ParallelTraceStudy study(engine(), eco().abp_registry(), options,
+                                   &pool);
+    trace::MmapTraceReader reader(bytes.data(), bytes.size());
+    EXPECT_THROW(reader.replay_batches(study), trace::TraceFormatError);
+    // Leaving the scope frees the bytes, the reader and the study: a
+    // cursor still running would read freed memory (ASan job).
+  }
+  // Every pool thread is free again: a full study on it completes.
+  core::ParallelStudyOptions options;
+  options.study = study_options();
+  options.threads = 3;
+  core::ParallelTraceStudy study(engine(), eco().abp_registry(), options,
+                                 &pool);
+  trace::MmapTraceReader reader(file.path);
+  EXPECT_EQ(reader.replay_batches(study), record_count(sample_trace()));
+  study.finish();
+  EXPECT_EQ(report_of(study.view()), report_of(serial().view()));
 }
 
 TEST_F(ParallelStudyTest, ExternalPoolIsReusedAcrossStudies) {

@@ -1,5 +1,6 @@
 // pcap: export/import round trip and frame well-formedness.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -31,7 +32,8 @@ trace::HttpTransaction sample_txn(std::uint64_t t_ms = 2000) {
 class PcapTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = "/tmp/adscope_test.pcap";
+  std::string path_ =
+      "/tmp/adscope_test_" + std::to_string(::getpid()) + ".pcap";
 };
 
 TEST_F(PcapTest, GlobalHeaderIsClassicLittleEndian) {

@@ -6,46 +6,21 @@
 // redirects, the bounded referrer maps, the query normalizer's interned
 // key memo, and the symbol-keyed flat aggregate tables.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <string>
 
 #include "core/study.h"
 #include "sim/ecosystem.h"
 #include "sim/listgen.h"
 #include "sim/rbn_sim.h"
+#include "support/alloc_hook.h"
 #include "trace/mmap_reader.h"
 #include "trace/writer.h"
 
-// --- global allocation-counting hook ---------------------------------
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}
-
-void* operator new(std::size_t size) {
-  ++g_allocations;
-  if (void* ptr = std::malloc(size ? size : 1)) return ptr;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  ++g_allocations;
-  if (void* ptr = std::malloc(size ? size : 1)) return ptr;
-  throw std::bad_alloc();
-}
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
-
 namespace adscope {
 namespace {
-
-std::uint64_t allocations() {
-  return g_allocations.load(std::memory_order_relaxed);
-}
 
 /// Forwards records but drops the meta block: re-feeding meta would
 /// legitimately rebuild the study's time-series aggregate. The claim
@@ -96,7 +71,8 @@ class StudyAllocTest : public ::testing::Test {
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
-  std::string path_ = "/tmp/adscope_test_study_alloc.adst";
+  std::string path_ =
+      "/tmp/adscope_test_study_alloc_" + std::to_string(::getpid()) + ".adst";
 };
 
 TEST_F(StudyAllocTest, WarmReplayObservePathIsAllocationFree) {
@@ -121,18 +97,18 @@ TEST_F(StudyAllocTest, WarmReplayObservePathIsAllocationFree) {
     // backwards, which would pin page views open forever (idle-gap
     // closing needs monotone time within an epoch).
     study.flush_epoch();
-    const auto start = allocations();
+    const auto start = test::allocation_count();
     reader.replay(records_only);
-    warm = allocations() - start;
+    warm = test::allocation_count() - start;
   }
   ASSERT_EQ(warm, 0u) << "no allocation-free warm pass within 6 replays";
 
   // Measured pass: the fixed point is stable — every record reaches the
   // aggregate buckets without touching the heap.
   study.flush_epoch();
-  const auto before = allocations();
+  const auto before = test::allocation_count();
   reader.replay(records_only);
-  const auto during = allocations() - before;
+  const auto during = test::allocation_count() - before;
   EXPECT_EQ(during, 0u)
       << during << " heap allocations on the warm replay→observe path";
 

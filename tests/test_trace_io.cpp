@@ -1,6 +1,7 @@
 // trace: headers collection, binary format round trips, analyzer
 // extraction.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -84,7 +85,8 @@ class TraceFileTest : public ::testing::Test {
     return txn;
   }
 
-  std::string path_ = "/tmp/adscope_test_trace.adst";
+  std::string path_ =
+      "/tmp/adscope_test_trace_" + std::to_string(::getpid()) + ".adst";
 };
 
 TEST_F(TraceFileTest, RoundTripPreservesEverything) {

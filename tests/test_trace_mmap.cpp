@@ -11,17 +11,17 @@
 //    trace/view.h and asserted with a death test);
 //  * raw replay reproduces a byte-stream the legacy reader accepts.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <new>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "support/alloc_hook.h"
 #include "trace/io.h"
 #include "trace/mmap_reader.h"
 #include "trace/reader.h"
@@ -30,34 +30,8 @@
 #include "trace/view.h"
 #include "trace/writer.h"
 
-// --- global allocation-counting hook ---------------------------------
-// Counts every operator-new in the binary; tests snapshot the counter
-// around a region to assert the hot paths stay off the heap.
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}
-
-void* operator new(std::size_t size) {
-  ++g_allocations;
-  if (void* ptr = std::malloc(size ? size : 1)) return ptr;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  ++g_allocations;
-  if (void* ptr = std::malloc(size ? size : 1)) return ptr;
-  throw std::bad_alloc();
-}
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
-
 namespace adscope {
 namespace {
-
-std::uint64_t allocations() {
-  return g_allocations.load(std::memory_order_relaxed);
-}
 
 trace::HttpTransaction make_txn(std::uint64_t t) {
   trace::HttpTransaction txn;
@@ -181,7 +155,8 @@ class MmapReaderTest : public ::testing::Test {
   void SetUp() override { write_sample(path_, 500); }
   void TearDown() override { std::remove(path_.c_str()); }
 
-  std::string path_ = "/tmp/adscope_test_mmap.adst";
+  std::string path_ =
+      "/tmp/adscope_test_mmap_" + std::to_string(::getpid()) + ".adst";
 };
 
 // ---------------------------------------------------------------------------
@@ -247,9 +222,9 @@ TEST_F(MmapReaderTest, WarmReplayDecodesWithZeroAllocations) {
   NullBatchSink sink;
   reader.replay_batches(sink);  // warm-up: interns the dictionary
 
-  const auto before = allocations();
+  const auto before = test::allocation_count();
   reader.replay_batches(sink);
-  const auto after = allocations();
+  const auto after = test::allocation_count();
   EXPECT_EQ(after - before, 0u)
       << "warm mmap decode must not touch the heap";
   EXPECT_GT(sink.checksum, 0u);

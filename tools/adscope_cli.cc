@@ -209,9 +209,7 @@ int cmd_study(const Args& args) {
     trace::MmapTraceReader reader(path);
     io_mode = "mmap";
     if (parallel && !log) {
-      // Fully zero-copy hand-off: view batches go straight into the
-      // sharded study, which materializes owning records only at the
-      // thread boundary.
+      // Each shard walks the mapping with its own cursor.
       records = reader.replay_batches(*parallel);
     } else {
       records = reader.replay(tee);
@@ -224,6 +222,12 @@ int cmd_study(const Args& args) {
   if (parallel) {
     parallel->finish();
     view = parallel->view();
+    // stderr, so the report on stdout stays byte-identical to serial.
+    std::fprintf(stderr, "shard records:");
+    for (const auto count : parallel->shard_records()) {
+      std::fprintf(stderr, " %llu", static_cast<unsigned long long>(count));
+    }
+    std::fprintf(stderr, "\n");
   } else {
     serial->finish();
     view = serial->view();
