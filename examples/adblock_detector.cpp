@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
         engine, ecosystem.abp_registry(), parallel_options);
     truth = simulator.simulate(sim::rbn2_options(250), *parallel);
     parallel->finish();
-    inference = parallel->inference();
+    inference = parallel->view().inference();
     std::printf("(analyzed on %zu shard threads)\n", parallel->shard_count());
   } else {
     serial = std::make_unique<core::TraceStudy>(engine,

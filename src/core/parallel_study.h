@@ -4,32 +4,31 @@
 // UserIndex, PageSegmenter) is keyed by client_ip, so the trace can be
 // partitioned by fnv1a(client_ip) % nshards without changing any
 // per-user processing order. Each shard runs a complete serial
-// TraceStudy on a pool worker; finish() merges the shard aggregates in
-// shard-index order. A shard's study is fed one of two ways:
+// TraceStudy; finish() absorbs the shard studies into one StudySnapshot
+// in shard-index order. A shard's study is fed one of two ways:
 //
-//  * Cursors over a mapping. Handed to MmapTraceReader::replay_batches,
-//    the study takes the replay over (TraceBatchSink::replay_mapped):
-//    every worker opens its own reader over the mapped bytes, decodes
-//    every record (the dictionary spans the whole stream), skips the
-//    ones whose client hashes to another shard, and materializes the
-//    rest into one reused scratch record for its study. Nothing is
-//    queued, allocated per record or handed between threads; decode is
-//    repeated per shard, and costs a fraction of the study work.
+//  * Cursors over a mapping, the one threaded feed. Handed to
+//    MmapTraceReader::replay_batches, the study takes the replay over
+//    (TraceBatchSink::replay_mapped): one pool task per shard opens its
+//    own reader over the mapped bytes, decodes every record (the
+//    dictionary spans the whole stream), skips the ones whose client
+//    hashes to another shard, and materializes the rest into one reused
+//    scratch record for its study. Nothing is queued, allocated per
+//    record or handed between threads, and no cursor waits on another,
+//    so a pool smaller than the shard count runs them in turn.
 //    replay_batches returns once every cursor has finished its study.
-//  * Queues, for everything else (streamed and pcap sources, per-record
-//    TraceSink callers, wrappers that do not forward the hook). The
-//    calling thread routes each record into its shard's pending batch
-//    and pushes batches through a bounded queue (backpressure keeps
-//    memory flat when a shard falls behind); the drain loops start on
-//    the first record, so a study fed by cursors never occupies pool
-//    threads with them. A batch also ends at every switch between HTTP
-//    and TLS records for that shard, so on real traces batches stay
-//    far below dispatch_batch_records.
+//  * Inline, for everything else (streamed and pcap sources, per-record
+//    TraceSink callers such as the CLI's --log tee, wrappers that do not
+//    forward the hook): the calling thread routes each record to its
+//    shard's study and runs it there. A queued hand-off to workers cost
+//    1.6-1.8x the CPU of this for no wall-time gain (DESIGN.md §6);
+//    live::LiveStudy is the queued shard runtime for sources that need
+//    one.
 //
 // A mapped replay is the whole of a study's input: feeding records
-// after it throws std::logic_error. Once records have gone through the
-// queues, a later mapped replay declines the hook and is queued too, so
-// its records stay in order behind theirs.
+// after it throws std::logic_error. Once records have been routed
+// inline, a later mapped replay declines the hook and is routed inline
+// too, so its records stay in order behind theirs.
 //
 // Determinism guarantee: the merged result is identical to a serial
 // TraceStudy over the same trace — per-user record order is preserved
@@ -45,15 +44,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <optional>
-#include <variant>
 #include <vector>
 
 #include "core/study.h"
+#include "core/study_snapshot.h"
 #include "trace/view.h"
-#include "util/bounded_queue.h"
 #include "util/thread_pool.h"
 
 namespace adscope::core {
@@ -61,132 +58,88 @@ namespace adscope::core {
 struct ParallelStudyOptions {
   /// Forwarded verbatim to every shard's TraceStudy.
   StudyOptions study;
-  /// Worker (= shard) count; 0 picks the hardware concurrency.
+  /// Shard count; 0 picks the hardware concurrency.
   std::size_t threads = 0;
-  /// Queue feed only: records buffered per shard before the feeding
-  /// thread blocks (rounded to whole dispatch batches, minimum two).
-  std::size_t queue_capacity = 4096;
-  /// Queue feed only: the most records pushed to a shard's queue as one
-  /// batch (a kind switch ends a batch sooner).
-  std::size_t dispatch_batch_records = 256;
 };
 
 class ParallelTraceStudy final : public trace::TraceSink,
                                  public trace::TraceBatchSink {
  public:
-  /// `pool` optionally supplies reusable worker threads (it must have
-  /// at least `threads` of them, or the shard drain loops could starve
-  /// each other — enforced with std::invalid_argument). Without a pool
-  /// the study owns one sized to the shard count. Engine, registry and
-  /// pool must outlive the study.
+  /// `pool` optionally supplies reusable worker threads for the cursor
+  /// feed (any size; with fewer threads than shards the cursors take
+  /// turns). Without a pool the first mapped replay starts one sized to
+  /// the shard count. Engine, registry and pool must outlive the study.
   ParallelTraceStudy(const adblock::FilterEngine& engine,
                      const netdb::AbpServerRegistry& registry,
                      ParallelStudyOptions options = {},
                      util::ThreadPool* pool = nullptr);
-  ~ParallelTraceStudy() override;
 
   ParallelTraceStudy(const ParallelTraceStudy&) = delete;
   ParallelTraceStudy& operator=(const ParallelTraceStudy&) = delete;
 
-  // TraceSink + TraceBatchSink: the queue feed (call from one thread;
-  // records fan out to the shards). The single on_meta overrides both
-  // bases.
+  // TraceSink + TraceBatchSink: the inline feed (each record runs on
+  // the calling thread, in its shard's study). The single on_meta
+  // overrides both bases.
   void on_meta(const trace::TraceMeta& meta) override;
   void on_http(const trace::HttpTransaction& txn) override;
-  void on_http_owned(trace::HttpTransaction&& txn) override;
   void on_tls(const trace::TlsFlow& flow) override;
   void on_http_batch(std::span<const trace::HttpTransactionView> batch) override;
   void on_tls_batch(std::span<const trace::TlsFlowView> batch) override;
 
   /// The cursor feed: runs one cursor per shard over `reader`'s bytes
   /// on the pool and returns, after every cursor has joined, the record
-  /// count a serial replay returns. Declines (std::nullopt) once the
-  /// queue feed has started. A cursor's TraceFormatError is rethrown
+  /// count a serial replay returns. Declines (std::nullopt) once records
+  /// have been routed inline. A cursor's TraceFormatError is rethrown
   /// after all of them have stopped.
   std::optional<std::uint64_t> replay_mapped(
       const trace::MmapTraceReader& reader) override;
 
-  /// Close the shard queues, join the workers, merge. Idempotent.
+  /// Finish the shard studies and merge them. Idempotent.
   void finish();
 
   std::size_t shard_count() const noexcept { return shards_.size(); }
 
   /// Records (HTTP + TLS) each shard's study received, in shard order:
-  /// how evenly client_ip hashing split the trace. Valid after finish().
+  /// how evenly client_ip hashing split the trace.
   std::vector<std::uint64_t> shard_records() const;
 
-  // Merged per-section results; valid after finish().
-  const trace::TraceMeta& meta() const noexcept { return meta_; }
-  const UserIndex& users() const noexcept { return users_; }
-  const TrafficStats& traffic() const { return *traffic_; }
-  const WhitelistAnalysis& whitelist() const noexcept { return whitelist_; }
-  const InfraAnalysis& infra() const noexcept { return infra_; }
-  const RtbAnalysis& rtb() const noexcept { return rtb_; }
-  const PageViewStats& page_views() const noexcept { return page_views_; }
-  const ClassifierCounters& classifier_counters() const noexcept {
-    return classifier_counters_;
-  }
-  std::uint64_t https_flows() const noexcept { return https_flows_; }
-  std::uint64_t transactions_before_meta() const noexcept {
-    return transactions_before_meta_;
-  }
+  /// Summed over the shard studies (the snapshot does not carry it).
+  std::uint64_t transactions_before_meta() const noexcept;
 
-  InferenceResult inference() const;
-  ConfigurationReport configurations(const InferenceResult& inference) const;
-
-  /// Same window the serial study exposes — feeds the shared report
-  /// renderers. Valid after finish().
-  StudyView view() const noexcept;
+  // The merged result; valid after finish() (std::bad_optional_access
+  // before it).
+  StudyView view() const { return merged_.value().view(); }
+  const ClassifierCounters& classifier_counters() const {
+    return merged_.value().classifier_counters();
+  }
+  std::uint64_t https_flows() const { return merged_.value().https_flows(); }
 
  private:
-  /// A queue item is a whole batch; meta is broadcast as its own item.
-  using Item = std::variant<trace::TraceMeta,
-                            std::vector<trace::HttpTransaction>,
-                            std::vector<trace::TlsFlow>>;
-
   struct Shard {
-    explicit Shard(const adblock::FilterEngine& engine,
-                   const netdb::AbpServerRegistry& registry,
-                   const StudyOptions& options, std::size_t queue_items)
-        : study(engine, registry, options), queue(queue_items) {}
+    Shard(const adblock::FilterEngine& engine,
+          const netdb::AbpServerRegistry& registry, const StudyOptions& options)
+        : study(engine, registry, options) {}
 
     TraceStudy study;
     std::uint64_t records = 0;  // written by whichever thread feeds study
-    util::BoundedQueue<Item> queue;
-    std::future<void> done;
-    // Producer-side accumulators (touched only by the feeding thread).
-    std::vector<trace::HttpTransaction> pending_http;
-    std::vector<trace::TlsFlow> pending_tls;
   };
 
   /// Which feed the shards' studies have (the first call decides).
-  enum class Feed { kNone, kQueues, kCursors };
+  enum class Feed { kNone, kInline, kCursors };
 
-  Shard& shard_for(netdb::IpV4 client_ip);
-  /// Starts the drain loops on the first queue-fed call.
-  void start_queues();
-  void flush_http(Shard& shard);
-  void flush_tls(Shard& shard);
-  void merge_shards();
+  /// Claims the inline feed; throws std::logic_error after a cursor feed.
+  void start_inline();
+  /// start_inline(), then counts one record for the client's shard and
+  /// returns it.
+  Shard& route(netdb::IpV4 client_ip);
 
   ParallelStudyOptions options_;
   std::unique_ptr<util::ThreadPool> owned_pool_;
-  util::ThreadPool* pool_;  // owned_pool_.get() or the caller's
+  util::ThreadPool* pool_;  // the caller's, or owned_pool_ once started
   std::vector<std::unique_ptr<Shard>> shards_;
   Feed feed_ = Feed::kNone;
-
-  // Merged aggregates (filled by finish()).
-  trace::TraceMeta meta_;
-  UserIndex users_;
-  std::unique_ptr<TrafficStats> traffic_;
-  WhitelistAnalysis whitelist_;
-  InfraAnalysis infra_;
-  RtbAnalysis rtb_;
-  PageViewStats page_views_;
-  ClassifierCounters classifier_counters_;
-  std::uint64_t https_flows_ = 0;
-  std::uint64_t transactions_before_meta_ = 0;
-  bool finished_ = false;
+  trace::HttpTransaction scratch_;  // on_http_batch's materialized record
+  std::optional<StudySnapshot> merged_;
 };
 
 }  // namespace adscope::core

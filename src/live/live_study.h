@@ -92,8 +92,8 @@ class LiveStudy final : public trace::TraceSink {
   static constexpr std::uint64_t kAllBuckets = UINT64_MAX;
 
   /// Engine, registry (and pool, when given) must outlive the study.
-  /// An external pool must have at least `threads` workers (the drain
-  /// loops block; see ParallelTraceStudy).
+  /// An external pool must have at least `threads` workers (each shard's
+  /// drain loop holds one while it blocks on its queue).
   LiveStudy(const adblock::FilterEngine& engine,
             const netdb::AbpServerRegistry& registry,
             LiveStudyOptions options = {}, util::ThreadPool* pool = nullptr);

@@ -1,11 +1,10 @@
 // Bounded multi-producer blocking queue with backpressure.
 //
-// The sharded analysis path (core::ParallelTraceStudy) feeds one queue
-// per shard worker: the trace-reading thread blocks in push() when a
-// shard falls behind, so memory stays bounded no matter how large the
-// trace is. close() releases consumers once the producer is done;
-// pop() then drains the remaining records and finally reports
-// exhaustion.
+// The live shard runtime (live::LiveStudy) feeds one queue per shard
+// worker: an ingest thread blocks in push() when a shard falls behind,
+// so memory stays bounded no matter how long the stream runs. close()
+// releases consumers once the producers are done; pop() then drains the
+// remaining records and finally reports exhaustion.
 //
 // Locking is expressed through util::Mutex/CondVar so the Clang
 // thread-safety analysis proves every access to the guarded state is

@@ -1,11 +1,20 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
+#include <stdexcept>
+#include <string>
+
 namespace adscope::util {
 
-std::size_t resolve_thread_count(std::size_t requested) noexcept {
+std::size_t resolve_thread_count(std::size_t requested) {
+  if (requested > kMaxThreads) {
+    throw std::invalid_argument("thread count " + std::to_string(requested) +
+                                " exceeds the maximum of " +
+                                std::to_string(kMaxThreads));
+  }
   if (requested > 0) return requested;
   const auto hw = static_cast<std::size_t>(std::thread::hardware_concurrency());
-  return hw == 0 ? 1 : hw;
+  return std::clamp<std::size_t>(hw, 1, kMaxThreads);
 }
 
 ThreadPool::ThreadPool(std::size_t threads) {

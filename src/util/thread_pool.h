@@ -3,9 +3,10 @@
 // Workers are started once and reused across submissions — the sharded
 // analysis path runs many studies (benchmarks, repeated CLI runs)
 // without re-paying thread start-up each time. Tasks may block (the
-// shard drain loops block on their record queues), so callers that
+// live shard drain loops block on their record queues), so callers that
 // submit N interdependent long-running tasks must size the pool with at
-// least N threads; ParallelTraceStudy enforces this.
+// least N threads; LiveStudy enforces this. ParallelTraceStudy's cursor
+// tasks wait on nothing and run on a pool of any size.
 #pragma once
 
 #include <cstddef>
@@ -44,7 +45,16 @@ class ThreadPool {
   bool stopping_ ADSCOPE_GUARDED_BY(mutex_) = false;
 };
 
-/// Pool sizing helper: explicit request, else hardware concurrency.
-std::size_t resolve_thread_count(std::size_t requested) noexcept;
+/// Most threads (and shards) one pool or study may ask for. Each worker
+/// costs a stack and each shard a full per-user pipeline, so a
+/// mistyped count (100000, or -1 wrapped to 2^64-1) would start that
+/// many threads or exhaust memory before the first record. 256 leaves
+/// headroom over common server core counts.
+inline constexpr std::size_t kMaxThreads = 256;
+
+/// Pool sizing helper: explicit request, else hardware concurrency
+/// (capped at kMaxThreads). Throws std::invalid_argument when the
+/// request exceeds kMaxThreads.
+std::size_t resolve_thread_count(std::size_t requested);
 
 }  // namespace adscope::util

@@ -1,12 +1,13 @@
 // core: ParallelTraceStudy — shard/merge correctness.
 //
 // Two layers of guarantees are asserted here:
-//  * every aggregate's merge() is a commutative/associative sum, so the
-//    shard combination cannot depend on scheduling (property-style
-//    tests over generated shards);
+//  * StudySnapshot's merge (every aggregate's merge() underneath) is a
+//    commutative/associative sum, so the shard combination cannot
+//    depend on scheduling (property-style tests over generated shards);
 //  * the sharded pipeline end-to-end produces a report byte-identical
 //    to the serial TraceStudy on the same RBN trace, at 1, 2 and 7
-//    threads.
+//    threads, through the cursor feed and both inline feeds (per
+//    record and forwarded batches).
 // Plus unit coverage for the util substrate (ThreadPool, BoundedQueue).
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -24,6 +25,7 @@
 
 #include "core/parallel_study.h"
 #include "core/report.h"
+#include "core/study_snapshot.h"
 #include "sim/ecosystem.h"
 #include "sim/listgen.h"
 #include "sim/rbn_sim.h"
@@ -63,7 +65,14 @@ TEST(ThreadPoolTest, ExceptionsPropagateThroughFutures) {
 
 TEST(ThreadPoolTest, ZeroResolvesToHardwareConcurrency) {
   EXPECT_GE(util::resolve_thread_count(0), 1u);
+  EXPECT_LE(util::resolve_thread_count(0), util::kMaxThreads);
   EXPECT_EQ(util::resolve_thread_count(5), 5u);
+  EXPECT_EQ(util::resolve_thread_count(util::kMaxThreads), util::kMaxThreads);
+  // Above the ceiling (a typo, or -1 wrapped by an unsigned parse) is
+  // rejected before any thread starts.
+  EXPECT_THROW(util::resolve_thread_count(util::kMaxThreads + 1),
+               std::invalid_argument);
+  EXPECT_THROW(util::resolve_thread_count(SIZE_MAX), std::invalid_argument);
 }
 
 TEST(BoundedQueueTest, FifoAndDrainAfterClose) {
@@ -164,12 +173,10 @@ class ParallelStudyTest : public ::testing::Test {
   static std::string report_of(const core::StudyView& view) {
     return core::render_full_report(view, &eco().asn_db());
   }
-  /// Small dispatch batches, so a queue feed flushes plenty of them.
   static core::ParallelStudyOptions sharded_options(std::size_t threads) {
     core::ParallelStudyOptions options;
     options.study = study_options();
     options.threads = threads;
-    options.dispatch_batch_records = 64;
     return options;
   }
 };
@@ -178,63 +185,10 @@ class ParallelStudyTest : public ::testing::Test {
 // Property-style merge laws.
 //
 // Shards are generated exactly the way ParallelTraceStudy generates
-// them (hash(client_ip) % n), then merged by hand in different orders
-// and groupings; the rendered report exposes every aggregate at once.
-
-namespace {
-
-/// A standalone aggregate set that merges like ParallelTraceStudy does.
-struct Aggregates {
-  core::UserIndex users;
-  core::TrafficStats traffic;
-  core::WhitelistAnalysis whitelist;
-  core::InfraAnalysis infra;
-  core::RtbAnalysis rtb;
-  core::PageViewStats page_views;
-  core::ClassifierCounters counters;
-  std::uint64_t https_flows = 0;
-
-  explicit Aggregates(std::uint64_t duration_s) : traffic(duration_s) {}
-
-  void absorb(const core::TraceStudy& study) {
-    users.merge(study.users());
-    traffic.merge(study.traffic());
-    whitelist.merge(study.whitelist());
-    infra.merge(study.infra());
-    rtb.merge(study.rtb());
-    page_views.merge(study.page_views());
-    counters.merge(study.classifier().counters());
-    https_flows += study.https_flows();
-  }
-
-  void absorb(const Aggregates& other) {
-    users.merge(other.users);
-    traffic.merge(other.traffic);
-    whitelist.merge(other.whitelist);
-    infra.merge(other.infra);
-    rtb.merge(other.rtb);
-    page_views.merge(other.page_views);
-    counters.merge(other.counters);
-    https_flows += other.https_flows;
-  }
-
-  core::StudyView view(const trace::TraceMeta& meta,
-                       const core::InferenceOptions& inference) const {
-    core::StudyView view;
-    view.meta = &meta;
-    view.users = &users;
-    view.traffic = &traffic;
-    view.whitelist = &whitelist;
-    view.infra = &infra;
-    view.rtb = &rtb;
-    view.page_views = &page_views;
-    view.https_flows = https_flows;
-    view.inference_options = inference;
-    return view;
-  }
-};
-
-}  // namespace
+// them (hash(client_ip) % n), then merged through core::StudySnapshot —
+// the merge ParallelTraceStudy and the snapshot store both run — in
+// different orders and groupings; the rendered report exposes every
+// aggregate at once.
 
 class MergeLawsTest : public ParallelStudyTest {
  protected:
@@ -261,11 +215,14 @@ class MergeLawsTest : public ParallelStudyTest {
     return instance;
   }
 
+  static core::StudySnapshot empty_snapshot() {
+    return core::StudySnapshot(sample_trace().meta(), study_options());
+  }
+
   static std::string merged_report(const std::vector<std::size_t>& order) {
-    Aggregates merged(sample_trace().meta().duration_s);
+    auto merged = empty_snapshot();
     for (const auto i : order) merged.absorb(*shards()[i]);
-    return report_of(
-        merged.view(sample_trace().meta(), study_options().inference));
+    return report_of(merged.view());
   }
 };
 
@@ -279,26 +236,24 @@ TEST_F(MergeLawsTest, MergeIsCommutative) {
 }
 
 TEST_F(MergeLawsTest, MergeIsAssociative) {
-  const auto duration = sample_trace().meta().duration_s;
   // ((A + B) + C)
-  Aggregates left(duration);
+  auto left = empty_snapshot();
   left.absorb(*shards()[0]);
   left.absorb(*shards()[1]);
   left.absorb(*shards()[2]);
   // (A + (B + C))
-  Aggregates bc(duration);
+  auto bc = empty_snapshot();
   bc.absorb(*shards()[1]);
   bc.absorb(*shards()[2]);
-  Aggregates right(duration);
+  auto right = empty_snapshot();
   right.absorb(*shards()[0]);
-  right.absorb(bc);
+  right.merge(bc);
 
-  const auto& meta = sample_trace().meta();
-  const auto inference = study_options().inference;
-  EXPECT_EQ(report_of(left.view(meta, inference)),
-            report_of(right.view(meta, inference)));
-  EXPECT_EQ(left.counters.processed, right.counters.processed);
-  EXPECT_EQ(left.counters.redirects_patched, right.counters.redirects_patched);
+  EXPECT_EQ(report_of(left.view()), report_of(right.view()));
+  EXPECT_EQ(left.classifier_counters().processed,
+            right.classifier_counters().processed);
+  EXPECT_EQ(left.classifier_counters().redirects_patched,
+            right.classifier_counters().redirects_patched);
 }
 
 TEST_F(MergeLawsTest, PartitionPlusMergeMatchesSerial) {
@@ -330,8 +285,8 @@ TEST_F(ParallelStudyTest, IdenticalReportAtOneTwoAndSevenThreads) {
 }
 
 /// Forwards the batch calls but not TraceBatchSink::replay_mapped, the
-/// way a timing or logging wrapper does: the study behind it is fed
-/// through its queues.
+/// way a timing or logging wrapper does: the study behind it routes the
+/// batches inline.
 class ForwardingBatchSink final : public trace::TraceBatchSink {
  public:
   explicit ForwardingBatchSink(trace::TraceBatchSink& inner) : inner_(inner) {}
@@ -381,8 +336,8 @@ std::vector<std::uint64_t> shard_split(const trace::MemoryTrace& memory,
 TEST_F(ParallelStudyTest, MmapBatchReplayIdenticalAtOneTwoAndSevenThreads) {
   // The cursor feed end to end: one reader per shard over the mapped
   // file, filtered by shard, merged. It runs on a pool of exactly N
-  // threads (the queue drain loops would hold all of them) and must be
-  // byte-identical to the serial study fed record by record.
+  // threads, one cursor each, and must be byte-identical to the serial
+  // study fed record by record.
   const SampleTraceFile file(sample_trace());
   const auto serial_report = report_of(serial().view());
   for (const std::size_t threads : {1u, 2u, 7u}) {
@@ -403,7 +358,7 @@ TEST_F(ParallelStudyTest, MmapBatchReplayIdenticalAtOneTwoAndSevenThreads) {
   }
 }
 
-TEST_F(ParallelStudyTest, ForwardedBatchReplayUsesQueuesAndIsIdentical) {
+TEST_F(ParallelStudyTest, ForwardedBatchReplayRoutesInlineAndIsIdentical) {
   const SampleTraceFile file(sample_trace());
   const auto serial_report = report_of(serial().view());
   for (const std::size_t threads : {1u, 2u, 7u}) {
@@ -415,7 +370,7 @@ TEST_F(ParallelStudyTest, ForwardedBatchReplayUsesQueuesAndIsIdentical) {
     EXPECT_EQ(reader.replay_batches(forward), record_count(sample_trace()));
     study.finish();
     EXPECT_EQ(report_of(study.view()), serial_report)
-        << "queued mmap report diverged at " << threads << " threads";
+        << "inline mmap report diverged at " << threads << " threads";
     EXPECT_EQ(study.classifier_counters().processed,
               serial().classifier().counters().processed);
     EXPECT_EQ(study.shard_records(), shard_split(sample_trace(), threads));
@@ -468,27 +423,65 @@ TEST_F(ParallelStudyTest, TruncatedTraceThrowsAfterJoiningEveryCursor) {
 }
 
 TEST_F(ParallelStudyTest, ExternalPoolIsReusedAcrossStudies) {
+  const SampleTraceFile file(sample_trace());
   util::ThreadPool pool(4);
   const auto serial_report = report_of(serial().view());
   for (int run = 0; run < 2; ++run) {
-    core::ParallelStudyOptions options;
-    options.study = study_options();
-    options.threads = 4;
-    core::ParallelTraceStudy study(engine(), eco().abp_registry(), options,
-                                   &pool);
-    sample_trace().replay(study);
+    core::ParallelTraceStudy study(engine(), eco().abp_registry(),
+                                   sharded_options(4), &pool);
+    trace::MmapTraceReader reader(file.path);
+    reader.replay_batches(study);
     study.finish();
     EXPECT_EQ(report_of(study.view()), serial_report);
   }
 }
 
-TEST_F(ParallelStudyTest, UndersizedPoolRejected) {
+TEST_F(ParallelStudyTest, SmallerPoolRunsMappedReplayInTurn) {
+  // Cursors wait on nothing, so four of them on two threads just take
+  // turns.
+  const SampleTraceFile file(sample_trace());
   util::ThreadPool pool(2);
-  core::ParallelStudyOptions options;
-  options.threads = 4;
-  EXPECT_THROW(
-      core::ParallelTraceStudy(engine(), eco().abp_registry(), options, &pool),
-      std::invalid_argument);
+  core::ParallelTraceStudy study(engine(), eco().abp_registry(),
+                                 sharded_options(4), &pool);
+  EXPECT_EQ(study.shard_count(), 4u);
+  trace::MmapTraceReader reader(file.path);
+  EXPECT_EQ(reader.replay_batches(study), record_count(sample_trace()));
+  study.finish();
+  EXPECT_EQ(report_of(study.view()), report_of(serial().view()));
+  EXPECT_EQ(study.shard_records(), shard_split(sample_trace(), 4));
+}
+
+TEST_F(ParallelStudyTest, MappedReplayAfterInlineRecordsDeclines) {
+  // Records routed inline come first in every shard; a mapped replay
+  // after them declines the cursors and is routed inline behind them.
+  // Both pieces carry the trace's meta block, so the serial reference
+  // is fed the same two pieces in the same order.
+  const auto& memory = sample_trace();
+  const auto split = memory.http().size() / 2;
+  trace::MemoryTrace head;
+  trace::MemoryTrace tail;
+  head.on_meta(memory.meta());
+  tail.on_meta(memory.meta());
+  for (std::size_t i = 0; i < memory.http().size(); ++i) {
+    (i < split ? head : tail).on_http(memory.http()[i]);
+  }
+  for (const auto& flow : memory.tls()) tail.on_tls(flow);
+  core::TraceStudy serial_study(engine(), eco().abp_registry(),
+                                study_options());
+  head.replay(serial_study);
+  tail.replay(serial_study);
+  serial_study.finish();
+
+  const SampleTraceFile tail_file(tail);
+  core::ParallelTraceStudy study(engine(), eco().abp_registry(),
+                                 sharded_options(3));
+  head.replay(study);
+  trace::MmapTraceReader reader(tail_file.path);
+  EXPECT_FALSE(study.replay_mapped(reader).has_value());
+  EXPECT_EQ(reader.replay_batches(study), record_count(tail));
+  study.finish();
+  EXPECT_EQ(report_of(study.view()), report_of(serial_study.view()));
+  EXPECT_EQ(study.shard_records(), shard_split(memory, 3));
 }
 
 TEST_F(ParallelStudyTest, CountsTransactionsBeforeMeta) {

@@ -15,12 +15,12 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "analyzer/http_log.h"
+#include "cli_args.h"
 #include "core/parallel_study.h"
 #include "lint/linter.h"
 #include "lint/render.h"
@@ -43,38 +43,8 @@ namespace {
 
 using namespace adscope;
 
-struct Args {
-  std::map<std::string, std::string> named;
-  bool flag(const std::string& name) const { return named.contains(name); }
-  std::string get(const std::string& name, std::string fallback = "") const {
-    const auto it = named.find(name);
-    return it == named.end() ? fallback : it->second;
-  }
-  std::uint64_t get_u64(const std::string& name, std::uint64_t fallback) const {
-    const auto it = named.find(name);
-    return it == named.end() ? fallback
-                             : std::strtoull(it->second.c_str(), nullptr, 10);
-  }
-};
-
-Args parse_args(int argc, char** argv, int first) {
-  Args args;
-  for (int i = first; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) continue;
-    key = key.substr(2);
-    if (const auto eq = key.find('='); eq != std::string::npos) {
-      args.named[key.substr(0, eq)] = key.substr(eq + 1);
-      continue;
-    }
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      args.named[key] = argv[++i];
-    } else {
-      args.named[key] = "";
-    }
-  }
-  return args;
-}
+using cli::Args;
+using cli::parse_args;
 
 struct WorldBundle {
   sim::Ecosystem ecosystem;
@@ -574,6 +544,9 @@ int main(int argc, char** argv) {
     if (command == "lists") return cmd_lists(args);
     if (command == "classify") return cmd_classify(args);
     if (command == "replay") return cmd_replay(args);
+  } catch (const cli::UsageError& error) {
+    std::fprintf(stderr, "adscope %s: %s\n", command.c_str(), error.what());
+    return 2;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "adscope %s: %s\n", command.c_str(), error.what());
     return 1;

@@ -14,13 +14,12 @@
 // --snapshot-out, then exit. No accepted record is lost.
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <map>
 #include <optional>
 #include <string>
 #include <thread>
 
+#include "cli_args.h"
 #include "live/http_endpoint.h"
 #include "live/live_study.h"
 #include "live/stream_server.h"
@@ -38,36 +37,7 @@ volatile std::sig_atomic_t g_stop = 0;
 
 void handle_stop_signal(int) { g_stop = 1; }
 
-struct Args {
-  std::map<std::string, std::string> named;
-  bool flag(const std::string& name) const { return named.contains(name); }
-  std::string get(const std::string& name, std::string fallback = "") const {
-    const auto it = named.find(name);
-    return it == named.end() ? fallback : it->second;
-  }
-  std::uint64_t get_u64(const std::string& name, std::uint64_t fallback) const {
-    const auto it = named.find(name);
-    return it == named.end() ? fallback
-                             : std::strtoull(it->second.c_str(), nullptr, 10);
-  }
-};
-
-Args parse_args(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) continue;
-    key = key.substr(2);
-    if (const auto eq = key.find('='); eq != std::string::npos) {
-      args.named[key.substr(0, eq)] = key.substr(eq + 1);
-    } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      args.named[key] = argv[++i];
-    } else {
-      args.named[key] = "";
-    }
-  }
-  return args;
-}
+using cli::Args;
 
 void usage() {
   std::fputs(
@@ -236,13 +206,16 @@ int run(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = parse_args(argc, argv);
+  const auto args = cli::parse_args(argc, argv, 1);
   if (args.flag("help")) {
     usage();
     return 0;
   }
   try {
     return run(args);
+  } catch (const cli::UsageError& error) {
+    std::fprintf(stderr, "adscoped: %s\n", error.what());
+    return 2;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "adscoped: %s\n", error.what());
     return 1;
