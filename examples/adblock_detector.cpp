@@ -7,9 +7,11 @@
 // against the simulator's ground truth.
 //
 // Usage: ./adblock_detector [--threads N]  — N>1 shards the analysis by
-// client IP (core::ParallelTraceStudy); the inference is identical.
+// client IP (core::ParallelTraceStudy); the inference is identical. A
+// malformed N is a usage error (exit 2); one above the thread ceiling
+// exits 1.
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -19,18 +21,26 @@
 #include "sim/ecosystem.h"
 #include "sim/listgen.h"
 #include "sim/rbn_sim.h"
+#include "util/cli_args.h"
 #include "util/format.h"
 #include "util/hash.h"
+#include "util/thread_pool.h"
 
 using namespace adscope;
 
-int main(int argc, char** argv) {
+namespace {
+constexpr const char* kUsage = "usage: adblock_detector [--threads N]\n";
+}  // namespace
+
+int main(int argc, char** argv) try {
   std::size_t threads = 1;
   for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--threads" && i + 1 < argc) {
-      threads = std::strtoull(argv[++i], nullptr, 10);
+    if (std::string(argv[i]) == "--threads") {
+      if (i + 1 >= argc) throw cli::UsageError("--threads expects a value");
+      threads = cli::parse_u64("threads", argv[++i]);
     }
   }
+  util::resolve_thread_count(threads);  // the ceiling, before any work
 
   const auto ecosystem = sim::Ecosystem::generate(42);
   const auto lists = sim::generate_lists(ecosystem);
@@ -119,4 +129,10 @@ int main(int argc, char** argv) {
   std::printf("\n(The paper has no ground truth — this is what the "
               "simulator substitution buys.)\n");
   return 0;
+} catch (const cli::UsageError& error) {
+  std::fprintf(stderr, "adblock_detector: %s\n%s", error.what(), kUsage);
+  return 2;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "adblock_detector: %s\n", error.what());
+  return 1;
 }

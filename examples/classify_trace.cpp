@@ -5,9 +5,10 @@
 // Without a trace argument, a small demo trace is synthesized first so
 // the example runs out of the box. --threads N shards the analysis by
 // client IP across N workers (core::ParallelTraceStudy); the printed
-// numbers are identical either way.
+// numbers are identical either way. A malformed N is a usage error
+// (exit 2); one above the thread ceiling exits 1.
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 #include <memory>
 #include <string>
 
@@ -19,26 +20,30 @@
 #include "sim/rbn_sim.h"
 #include "trace/reader.h"
 #include "trace/writer.h"
+#include "util/cli_args.h"
 #include "util/format.h"
+#include "util/thread_pool.h"
 
 using namespace adscope;
 
-int main(int argc, char** argv) {
+namespace {
+constexpr const char* kUsage =
+    "usage: classify_trace [trace.adst] [--threads N]\n";
+}  // namespace
+
+int main(int argc, char** argv) try {
   std::string path;
   std::size_t threads = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--threads") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr,
-                     "usage: classify_trace [trace.adst] [--threads N]\n");
-        return 2;
-      }
-      threads = std::strtoull(argv[++i], nullptr, 10);
+      if (i + 1 >= argc) throw cli::UsageError("--threads expects a value");
+      threads = cli::parse_u64("threads", argv[++i]);
     } else {
       path = arg;
     }
   }
+  util::resolve_thread_count(threads);  // the ceiling, before any work
 
   // World setup: ecosystem (for list generation + AS mapping) and the
   // analysis engine with all four lists, as in the paper.
@@ -125,4 +130,10 @@ int main(int argc, char** argv) {
               util::percent(view.rtb->ad_share_in_rtb_regime()).c_str(),
               util::percent(view.rtb->non_ad_share_in_rtb_regime()).c_str());
   return 0;
+} catch (const cli::UsageError& error) {
+  std::fprintf(stderr, "classify_trace: %s\n%s", error.what(), kUsage);
+  return 2;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "classify_trace: %s\n", error.what());
+  return 1;
 }

@@ -12,6 +12,9 @@
 // std::string), overwrites assign into the existing slot, and inserts
 // reuse evicted slots' string capacity — so the per-record put/get/take
 // cycle of the classifier's hot loop settles to zero heap allocations.
+// Keys hash with util::block_hash; every operation also takes that hash
+// precomputed, so a caller that probes several maps with one key (the
+// classifier's URL spec) hashes it once.
 //
 // Eviction semantics replicate the original deque-of-keys
 // implementation exactly (pinned by test_referrer.cpp):
@@ -40,7 +43,10 @@ class BoundedStringMap {
   /// Insert or overwrite. Overwrites keep the key's original FIFO
   /// position (try_emplace-style: the stored key is not re-built).
   void put(std::string_view key, std::string_view value) {
-    const auto hash = util::fnv1a(key);
+    put(util::block_hash(key), key, value);
+  }
+  /// put() with `hash` == util::block_hash(key) already computed.
+  void put(std::uint64_t hash, std::string_view key, std::string_view value) {
     if (const auto slot = find_slot(hash, key); slot != kNone) {
       slots_[slot].value.assign(value);
       return;
@@ -52,9 +58,10 @@ class BoundedStringMap {
     entry.hash = hash;
     table_insert(hash, slot);
     ++size_;
-    order_push(hash);
-    while (size_ > capacity_ && order_size_ > 0) {
-      const auto victim_hash = order_pop();
+    order_.push_back(hash);
+    while (size_ > capacity_ && !order_.empty()) {
+      const auto victim_hash = order_.front();
+      order_.pop_front();
       if (const auto victim = find_slot_by_hash(victim_hash);
           victim != kNone) {
         release_slot(victim);
@@ -66,7 +73,11 @@ class BoundedStringMap {
   /// Borrowing lookup — the value stays owned by the map and is valid
   /// until the next mutating call.
   const std::string* find(std::string_view key) const noexcept {
-    const auto slot = find_slot(util::fnv1a(key), key);
+    return find(util::block_hash(key), key);
+  }
+  const std::string* find(std::uint64_t hash, std::string_view key) const
+      noexcept {
+    const auto slot = find_slot(hash, key);
     return slot == kNone ? nullptr : &slots_[slot].value;
   }
 
@@ -79,7 +90,10 @@ class BoundedStringMap {
   /// Get-and-remove into a caller-owned buffer (capacity reuse);
   /// returns false and leaves `out` untouched when absent.
   bool take_into(std::string_view key, std::string& out) {
-    const auto slot = find_slot(util::fnv1a(key), key);
+    return take_into(util::block_hash(key), key, out);
+  }
+  bool take_into(std::uint64_t hash, std::string_view key, std::string& out) {
+    const auto slot = find_slot(hash, key);
     if (slot == kNone) return false;
     out.assign(slots_[slot].value);
     release_slot(slot);  // stale order entry is harmless: skipped later
@@ -124,8 +138,8 @@ class BoundedStringMap {
   }
 
   /// Eviction has only the hash (the order ring stores no strings);
-  /// a 64-bit FNV collision between two live keys could evict the
-  /// hash-twin instead — indistinguishable in practice.
+  /// a 64-bit block_hash collision between two live keys could evict
+  /// the hash-twin instead — indistinguishable in practice.
   std::uint32_t find_slot_by_hash(std::uint64_t hash) const noexcept {
     if (table_.empty()) return kNone;
     auto at = home_of(hash);
@@ -193,38 +207,12 @@ class BoundedStringMap {
     --size_;
   }
 
-  // --- FIFO order ring (hashes, oldest first) -------------------------
-  void order_push(std::uint64_t hash) {
-    if (order_size_ == order_.size()) grow_order();
-    order_[(order_head_ + order_size_) & (order_.size() - 1)] = hash;
-    ++order_size_;
-  }
-
-  std::uint64_t order_pop() {
-    const auto hash = order_[order_head_];
-    order_head_ = (order_head_ + 1) & (order_.size() - 1);
-    --order_size_;
-    return hash;
-  }
-
-  void grow_order() {
-    const std::size_t new_size = order_.empty() ? 16 : order_.size() * 2;
-    std::vector<std::uint64_t> fresh(new_size);
-    for (std::size_t i = 0; i < order_size_; ++i) {
-      fresh[i] = order_[(order_head_ + i) & (order_.size() - 1)];
-    }
-    order_ = std::move(fresh);
-    order_head_ = 0;
-  }
-
   std::size_t capacity_;
   std::size_t size_ = 0;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;
   std::vector<std::uint32_t> table_;  // probe table of slot indices
-  std::vector<std::uint64_t> order_;  // ring buffer
-  std::size_t order_head_ = 0;
-  std::size_t order_size_ = 0;
+  OrderRing order_;  // key hashes, oldest first
 };
 
 }  // namespace adscope::core

@@ -56,38 +56,39 @@ void TraceClassifier::analyze_payload(UserState& user,
 }
 
 TraceClassifier::UserState& TraceClassifier::user_state(
-    netdb::IpV4 ip, const std::string& user_agent) {
-  const auto key =
-      util::hash_combine(util::fnv1a_u64(ip), util::fnv1a(user_agent));
-  const auto it = users_.find(key);
-  if (it != users_.end()) return it->second;
+    const analyzer::WebObject& object) {
+  const auto key = user_key(object.client_ip, object.user_agent);
+  if (const auto* slot = user_slots_.find(key)) return users_[*slot];
 
-  while (users_.size() >= options_.max_users && !user_order_.empty()) {
+  while (user_slots_.size() >= options_.max_users && !user_order_.empty()) {
     const auto victim = user_order_.front();
     user_order_.pop_front();
-    const auto vit = users_.find(victim);
-    if (vit != users_.end()) {
-      flush_user(vit->second);
-      users_.erase(vit);
+    if (const auto* slot = user_slots_.find(victim)) {
+      flush_user(users_[*slot]);
+      free_users_.push_back(*slot);
+      user_slots_.erase(victim);
     }
   }
   user_order_.push_back(key);
-  return users_.emplace(key, UserState(options_.per_user_url_capacity))
-      .first->second;
+  UserState fresh(options_.per_user_url_capacity, key);
+  auto slot = static_cast<std::uint32_t>(users_.size());
+  if (free_users_.empty()) {
+    users_.push_back(std::move(fresh));
+  } else {
+    slot = free_users_.back();
+    free_users_.pop_back();
+    users_[slot] = std::move(fresh);
+  }
+  user_slots_[key] = slot;
+  return users_[slot];
 }
 
 void TraceClassifier::classify_and_emit(const analyzer::WebObject& object,
+                                        std::uint64_t user_key,
                                         const std::string& page,
                                         http::RequestType type,
                                         bool from_extension) {
-  ClassifiedObject& out = emit_;
-  out.object = object;
-  out.type = type;
-  out.type_from_extension = from_extension;
-  out.page_url.assign(page);
   const PageContext::Info& page_info = page_ctx_.lookup(page);
-  out.page_host.assign(page_info.page_host);
-
   adblock::Request& request = scratch_.request;
   if (options_.query_normalization) {
     normalizer_.normalize(object.url).spec_to(request.url);
@@ -95,13 +96,25 @@ void TraceClassifier::classify_and_emit(const analyzer::WebObject& object,
     object.url.spec_to(request.url);
   }
   util::to_lower_into(request.url, request.url_lower);
-  request.host = object.url.host();
-  request.page_host = page_info.page_host;
-  request.page_url_lower = page_info.page_lower;
-  request.type = type;
+  // The engine reads the host and page fields as views of the object
+  // and the page memo; only the URL needs scratch storage.
+  adblock::RequestView view;
+  view.url = request.url;
+  view.url_lower = request.url_lower;
+  view.host = object.url.host();
+  view.page_host = page_info.page_host;
+  view.page_url_lower = page_info.page_lower;
+  view.type = type;
 
-  out.verdict = engine_.classify(adblock::RequestView(request),
-                                 scratch_.tokens.tokenize(request.url_lower));
+  const ClassifiedObject out{
+      .object = object,
+      .user_key = user_key,
+      .type = type,
+      .type_from_extension = from_extension,
+      .page_url = page,
+      .page_host = page_info.page_host,
+      .verdict = engine_.classify(
+          view, scratch_.tokens.tokenize(request.url_lower))};
   if (callback_) callback_(out);
 }
 
@@ -115,7 +128,7 @@ void TraceClassifier::expire_pending(UserState& user) {
     PendingRedirect& held = user.pending[slot];
     // Never typed by a consequent request: fall back to its own headers.
     const auto inference = infer_type(held.object, /*is_own_page=*/false);
-    classify_and_emit(held.object, held.page, inference.type,
+    classify_and_emit(held.object, user.key, held.page, inference.type,
                       inference.from_extension);
     ++counters_.redirects_expired;
     user.release_pending(slot);
@@ -128,17 +141,19 @@ void TraceClassifier::flush_user(UserState& user) {
 }
 
 void TraceClassifier::flush() {
-  for (auto& [key, user] : users_) flush_user(user);
+  for (auto& user : users_) flush_user(user);
 }
 
 void TraceClassifier::process(const analyzer::WebObject& object) {
   ++counters_.processed;
-  UserState& user = user_state(object.client_ip, object.user_agent);
+  UserState& user = user_state(object);
   ++user.counter;
   expire_pending(user);
 
+  // The spec is hashed once, here, for every map and pending lookup below.
   object.url.spec_to(url_spec_);
   const std::string& url_spec = url_spec_;
+  const auto url_hash = util::block_hash(url_spec);
 
   // --- 1. page attribution -------------------------------------------
   // page_ is copied out of the refmap (not borrowed): the map mutates
@@ -156,10 +171,11 @@ void TraceClassifier::process(const analyzer::WebObject& object) {
     }
   }
   if (page.empty() && options_.redirect_patching) {
-    user.refmap.take_redirect_page_into(url_spec, page);
+    user.refmap.take_redirect_page_into(url_hash, url_spec, page);
   }
   if (page.empty() && options_.embedded_urls) {
-    if (const std::string* embedded = user.refmap.embedded_page(url_spec)) {
+    if (const std::string* embedded =
+            user.refmap.embedded_page(url_hash, url_spec)) {
       page.assign(*embedded);
     }
   }
@@ -170,7 +186,7 @@ void TraceClassifier::process(const analyzer::WebObject& object) {
   if (options_.use_payloads) {
     // Structure recovered from a parent document overrides header-based
     // inference: this is the DOM knowledge Adblock Plus actually has.
-    if (user.type_hints.take_into(url_spec, hint_)) {
+    if (user.type_hints.take_into(url_hash, url_spec, hint_)) {
       inference.type = static_cast<http::RequestType>(hint_[0] - '0');
       inference.from_extension = false;
       ++counters_.payload_type_hints_used;
@@ -184,8 +200,9 @@ void TraceClassifier::process(const analyzer::WebObject& object) {
   // object's page (documents root their own page).
   const std::string& effective_page = page.empty() ? url_spec : page;
   user.refmap.note_object(
-      url_spec, inference.type == http::RequestType::kDocument ? url_spec
-                                                               : effective_page);
+      url_hash, url_spec,
+      inference.type == http::RequestType::kDocument ? url_spec
+                                                     : effective_page);
 
   // --- 3. structural side information ----------------------------------
   if (options_.use_payloads && !object.payload.empty() &&
@@ -203,11 +220,10 @@ void TraceClassifier::process(const analyzer::WebObject& object) {
   // A held redirect source whose target just arrived inherits this
   // object's type (§3.1: type the redirect by its consequent request).
   if (options_.redirect_patching) {
-    const auto url_hash = util::fnv1a(url_spec);
     const auto slot = user.find_pending(url_hash, url_spec);
     if (slot != kNoSlot) {
       PendingRedirect& held = user.pending[slot];
-      classify_and_emit(held.object, held.page, inference.type,
+      classify_and_emit(held.object, user.key, held.page, inference.type,
                         inference.from_extension);
       ++counters_.redirects_patched;
       user.release_pending(slot);
@@ -217,8 +233,8 @@ void TraceClassifier::process(const analyzer::WebObject& object) {
   // --- 4. classify (or hold redirects for type patching) ---------------
   if (object.is_redirect() && options_.redirect_patching) {
     object.location.spec_to(target_spec_);
-    user.refmap.note_redirect(target_spec_, effective_page);
-    const auto target_hash = util::fnv1a(target_spec_);
+    const auto target_hash = util::block_hash(target_spec_);
+    user.refmap.note_redirect(target_hash, target_spec_, effective_page);
     auto slot = user.find_pending(target_hash, target_spec_);
     if (slot == kNoSlot) slot = user.acquire_pending();
     PendingRedirect& held = user.pending[slot];
@@ -232,7 +248,8 @@ void TraceClassifier::process(const analyzer::WebObject& object) {
     return;
   }
 
-  classify_and_emit(object, page, inference.type, inference.from_extension);
+  classify_and_emit(object, user.key, page, inference.type,
+                    inference.from_extension);
 }
 
 }  // namespace adscope::core

@@ -10,8 +10,11 @@
 //   4. FilterEngine classification (the libadblockplus call).
 //
 // Users are keyed by (client IP, User-Agent) following Maier et al. [45]
-// for NAT separation. All per-user state is bounded; exceeding the user
-// cap evicts the oldest user after flushing their pending redirects.
+// for NAT separation. The key is hashed once per record (user_key()),
+// carried on every emitted object, and reused by the per-user
+// aggregates, so no later stage hashes the User-Agent again. All
+// per-user state is bounded; exceeding the user cap evicts the oldest
+// user after flushing their pending redirects.
 //
 // Emission order: held redirect sources are emitted when patched or
 // expired, so output order can deviate from capture order by up to the
@@ -19,19 +22,19 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "adblock/element_hiding.h"
 #include "adblock/engine.h"
 #include "analyzer/http_extractor.h"
 #include "core/content_inference.h"
+#include "core/flat_agg.h"
 #include "core/query_normalizer.h"
 #include "core/referrer_map.h"
+#include "util/hash.h"
 
 namespace adscope::core {
 
@@ -56,12 +59,24 @@ class PageContext {
   bool valid_ = false;
 };
 
+/// Key of one end user: (client IP, User-Agent), as the classifier and
+/// the per-user aggregates (UserIndex, PageSegmenter) share it.
+inline std::uint64_t user_key(netdb::IpV4 ip,
+                              std::string_view user_agent) noexcept {
+  return util::hash_combine(util::fnv1a_u64(ip), util::block_hash(user_agent));
+}
+
+/// One classified object, as the classifier hands it to its callback.
+/// A view: `object`, `page_url` and `page_host` borrow the classifier's
+/// storage and are valid only inside the callback. A consumer that
+/// keeps anything past the callback must copy it.
 struct ClassifiedObject {
-  analyzer::WebObject object;
+  const analyzer::WebObject& object;
+  std::uint64_t user_key = 0;  // user_key(object.client_ip, .user_agent)
   http::RequestType type = http::RequestType::kOther;
   bool type_from_extension = false;
-  std::string page_url;   // reconstructed page spec ("" when unknown)
-  std::string page_host;  // host of page_url
+  std::string_view page_url;   // reconstructed page spec ("" when unknown)
+  std::string_view page_host;  // host of page_url
   adblock::Classification verdict;
 };
 
@@ -112,6 +127,8 @@ class TraceClassifier {
   TraceClassifier(const adblock::FilterEngine& engine,
                   ClassifierOptions options = {});
 
+  /// The callback receives each ClassifiedObject by reference to a view
+  /// that dies when the callback returns (see ClassifiedObject).
   void set_callback(Callback callback) { callback_ = std::move(callback); }
 
   /// Process one object; may emit zero or more classified objects.
@@ -146,7 +163,7 @@ class TraceClassifier {
     analyzer::WebObject object;
     std::string page;
     std::string target;             // redirect target spec (lookup key)
-    std::uint64_t target_hash = 0;  // fnv1a(target)
+    std::uint64_t target_hash = 0;  // util::block_hash(target)
     std::uint64_t deadline = 0;
     bool live = false;
   };
@@ -161,8 +178,9 @@ class TraceClassifier {
   };
 
   struct UserState {
-    explicit UserState(std::size_t capacity)
-        : refmap(capacity), type_hints(capacity) {}
+    UserState(std::size_t capacity, std::uint64_t user_key)
+        : key(user_key), refmap(capacity), type_hints(capacity) {}
+    std::uint64_t key;  // user_key(ip, user agent)
     ReferrerMap refmap;
     // Payload mode: URL -> element type gleaned from the document HTML
     // (single digit encoding of http::RequestType).
@@ -236,14 +254,14 @@ class TraceClassifier {
     }
   };
 
-  UserState& user_state(netdb::IpV4 ip, const std::string& user_agent);
+  UserState& user_state(const analyzer::WebObject& object);
   void analyze_payload(UserState& user, const analyzer::WebObject& object,
                        const std::string& page);
   void expire_pending(UserState& user);
   void flush_user(UserState& user);
   void classify_and_emit(const analyzer::WebObject& object,
-                         const std::string& page, http::RequestType type,
-                         bool from_extension);
+                         std::uint64_t user_key, const std::string& page,
+                         http::RequestType type, bool from_extension);
 
   const adblock::FilterEngine& engine_;
   ClassifierOptions options_;
@@ -254,8 +272,13 @@ class TraceClassifier {
   PageContext page_ctx_;
   EmbeddedUrlScanner embedded_scanner_;
 
-  std::unordered_map<std::uint64_t, UserState> users_;
-  std::deque<std::uint64_t> user_order_;
+  // Users live in a slot pool; user_slots_ maps a user key to its slot
+  // and user_order_ holds keys in first-seen order for FIFO eviction.
+  // Evicted slots are recycled.
+  FlatMap<std::uint64_t, std::uint32_t> user_slots_;
+  std::vector<UserState> users_;
+  std::vector<std::uint32_t> free_users_;
+  OrderRing user_order_;
   ClassifierCounters counters_;
 
   // Per-record scratch (process()/classify_and_emit() reuse capacity).
@@ -265,7 +288,6 @@ class TraceClassifier {
   std::string page_;
   std::string hint_;
   http::Url ref_url_;
-  ClassifiedObject emit_;
 };
 
 }  // namespace adscope::core

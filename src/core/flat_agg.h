@@ -255,4 +255,37 @@ class FlatSet {
   std::size_t size_ = 0;
 };
 
+/// FIFO of integer keys (user keys, map-key hashes), oldest first. A
+/// plain power-of-two ring instead of std::deque: deque churns chunk
+/// allocations under steady push_back/pop_front, a ring only ever grows
+/// (and then never allocates again on the warm path).
+class OrderRing {
+ public:
+  bool empty() const noexcept { return count_ == 0; }
+  std::uint64_t front() const noexcept { return buf_[head_]; }
+  void pop_front() noexcept {
+    head_ = (head_ + 1) & (buf_.size() - 1);
+    --count_;
+  }
+  void push_back(std::uint64_t key) {
+    if (count_ == buf_.size()) grow();
+    buf_[(head_ + count_) & (buf_.size() - 1)] = key;
+    ++count_;
+  }
+
+ private:
+  void grow() {
+    std::vector<std::uint64_t> next(buf_.empty() ? 16 : buf_.size() * 2);
+    for (std::size_t i = 0; i < count_; ++i) {
+      next[i] = buf_[(head_ + i) & (buf_.size() - 1)];
+    }
+    buf_ = std::move(next);
+    head_ = 0;
+  }
+
+  std::vector<std::uint64_t> buf_;  // capacity is a power of two
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
+};
+
 }  // namespace adscope::core

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/hash.h"
-
 namespace adscope::core {
 
 void PageSegmenter::emit(const PageView& view) {
@@ -49,9 +47,7 @@ void PageSegmenter::add(const ClassifiedObject& object) {
     ++orphans_;
     return;
   }
-  const auto key =
-      util::hash_combine(util::fnv1a_u64(object.object.client_ip),
-                         util::fnv1a(object.object.user_agent));
+  const auto key = object.user_key;
   UserViews* found = users_.find(key);
   if (found == nullptr) {
     while (users_.size() >= options_.max_users && !user_order_.empty()) {

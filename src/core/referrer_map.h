@@ -12,9 +12,12 @@
 // One instance per end user (IP + User-Agent); all state is bounded.
 // The lookup surface is borrowing (string_view in, pointer or
 // caller-buffer out) so the classifier's per-record path stays off the
-// heap; see core/bounded_map.h for the storage.
+// heap; see core/bounded_map.h for the storage. Each call also comes in
+// a (hash, spec) form taking util::block_hash(spec) precomputed: the
+// classifier hashes a record's URL spec once for all of its lookups.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -36,6 +39,10 @@ class ReferrerMap {
   void note_object(std::string_view url_spec, std::string_view page) {
     page_of_.put(url_spec, page);
   }
+  void note_object(std::uint64_t hash, std::string_view url_spec,
+                   std::string_view page) {
+    page_of_.put(hash, url_spec, page);
+  }
 
   /// Page a previously seen URL belongs to; owned by the map, valid
   /// until the next mutation.
@@ -48,12 +55,20 @@ class ReferrerMap {
   void note_redirect(std::string_view target_spec, std::string_view page) {
     redirect_page_.put(target_spec, page);
   }
+  void note_redirect(std::uint64_t hash, std::string_view target_spec,
+                     std::string_view page) {
+    redirect_page_.put(hash, target_spec, page);
+  }
 
   /// Consume the page recorded for a redirect target into `out`
   /// (capacity reuse); false when none was recorded.
   bool take_redirect_page_into(std::string_view target_spec,
                                std::string& out) {
     return redirect_page_.take_into(target_spec, out);
+  }
+  bool take_redirect_page_into(std::uint64_t hash, std::string_view target_spec,
+                               std::string& out) {
+    return redirect_page_.take_into(hash, target_spec, out);
   }
 
   /// Record a URL found embedded in another request's query string.
@@ -63,6 +78,10 @@ class ReferrerMap {
 
   const std::string* embedded_page(std::string_view url_spec) const {
     return embedded_page_.find(url_spec);
+  }
+  const std::string* embedded_page(std::uint64_t hash,
+                                   std::string_view url_spec) const {
+    return embedded_page_.find(hash, url_spec);
   }
 
  private:

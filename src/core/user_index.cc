@@ -1,13 +1,11 @@
 #include "core/user_index.h"
 
-#include "util/hash.h"
+#include <algorithm>
 
 namespace adscope::core {
 
 void UserIndex::add(const ClassifiedObject& object) {
-  const auto key = util::hash_combine(util::fnv1a_u64(object.object.client_ip),
-                                      util::fnv1a(object.object.user_agent));
-  UserStats& stats = users_[key];
+  UserStats& stats = users_[object.user_key];
   if (stats.requests == 0) {  // first sight of this (IP, UA) pair
     stats.ip = object.object.client_ip;
     stats.user_agent = object.object.user_agent;

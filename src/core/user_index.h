@@ -1,4 +1,5 @@
-// Per-user aggregation keyed by (IP, User-Agent) — §6, Figure 3.
+// Per-user aggregation keyed by (IP, User-Agent) — §6, Figure 3. The key
+// is the classifier's ClassifiedObject::user_key, not re-hashed here.
 //
 // Tracks, for every end device/browser visible at the vantage point, the
 // volume of requests and the ad requests attributed by each filter list;

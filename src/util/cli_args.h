@@ -1,6 +1,6 @@
-// Option parsing shared by the adscope and adscoped front ends:
-// `--key value` or `--key=value`; a key followed by another `--key` (or
-// by nothing) is a flag with an empty value.
+// Option parsing shared by the adscope and adscoped front ends and the
+// examples: `--key value` or `--key=value`; a key followed by another
+// `--key` (or by nothing) is a flag with an empty value.
 #pragma once
 
 #include <charconv>
@@ -18,6 +18,21 @@ class UsageError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// The value `text` of option --`name` as a non-negative decimal
+/// integer; throws UsageError on anything else (empty, signed,
+/// non-numeric, trailing text, overflow).
+inline std::uint64_t parse_u64(const std::string& name,
+                               const std::string& text) {
+  std::uint64_t value = 0;
+  const auto* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) {
+    throw UsageError("--" + name + " expects a non-negative integer, got '" +
+                     text + "'");
+  }
+  return value;
+}
+
 struct Args {
   std::map<std::string, std::string> named;
   bool flag(const std::string& name) const { return named.contains(name); }
@@ -25,20 +40,10 @@ struct Args {
     const auto it = named.find(name);
     return it == named.end() ? fallback : it->second;
   }
-  /// The option as a non-negative decimal integer; throws UsageError on
-  /// anything else (empty, signed, non-numeric, trailing text, overflow).
+  /// The option through parse_u64(), or `fallback` when absent.
   std::uint64_t get_u64(const std::string& name, std::uint64_t fallback) const {
     const auto it = named.find(name);
-    if (it == named.end()) return fallback;
-    const auto& text = it->second;
-    std::uint64_t value = 0;
-    const auto* end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-    if (text.empty() || ec != std::errc() || ptr != end) {
-      throw UsageError("--" + name + " expects a non-negative integer, got '" +
-                       text + "'");
-    }
-    return value;
+    return it == named.end() ? fallback : parse_u64(name, it->second);
   }
 };
 

@@ -1,7 +1,13 @@
-// FNV-1a hashing for strings and small keys.
+// Deterministic hashing for strings and small keys (std::hash makes no
+// cross-platform promise).
 //
-// Used by the filter engine's token index and the user index; chosen for
-// determinism across platforms (std::hash makes no such promise).
+// fnv1a: byte-serial; the filter engine's token hashes (URL
+// tokenization computes them in its character walk) and short keys whose
+// values must stay fixed, such as simulator seeds. fnv1a_u64: client
+// IPs, for shard routing and the IP half of core::user_key.
+// block_hash: word-at-a-time, for the long keys (URLs, user agents) the
+// symbol tables, the referrer maps and the User-Agent half of
+// core::user_key hash once per record.
 #pragma once
 
 #include <cstdint>

@@ -6,16 +6,17 @@
 #include "core/rtb_analysis.h"
 #include "core/traffic_stats.h"
 #include "core/whitelist_analysis.h"
+#include "support/owned_object.h"
 
 namespace adscope::core {
 namespace {
 
-ClassifiedObject make_object(adblock::Decision decision,
-                             adblock::ListKind kind, std::uint64_t bytes,
-                             const std::string& mime,
-                             std::uint64_t t_s = 0,
-                             netdb::IpV4 server = 10) {
-  ClassifiedObject object;
+test::OwnedObject make_object(adblock::Decision decision,
+                              adblock::ListKind kind, std::uint64_t bytes,
+                              const std::string& mime,
+                              std::uint64_t t_s = 0,
+                              netdb::IpV4 server = 10) {
+  test::OwnedObject object;
   object.object.url = *http::Url::parse("http://host.test/object");
   object.object.content_type = mime;
   object.object.content_length = bytes;
@@ -92,11 +93,11 @@ TEST(TrafficStatsTest, SizeHistogramsByClass) {
   EXPECT_EQ(stats.ad_sizes(http::ContentClass::kVideo).total(), 0.0);
 }
 
-ClassifiedObject whitelist_object(bool would_block,
-                                  adblock::ListKind blocked_kind,
-                                  const std::string& page_host,
-                                  const std::string& host) {
-  ClassifiedObject object;
+test::OwnedObject whitelist_object(bool would_block,
+                                   adblock::ListKind blocked_kind,
+                                   const std::string& page_host,
+                                   const std::string& host) {
+  test::OwnedObject object;
   object.object.url = *http::Url::parse("http://" + host + "/x.gif");
   object.page_host = page_host;
   object.page_url = page_host.empty() ? "" : "http://" + page_host + "/";
@@ -111,10 +112,10 @@ ClassifiedObject whitelist_object(bool would_block,
   return object;
 }
 
-ClassifiedObject blocked_object(adblock::ListKind kind,
-                                const std::string& page_host,
-                                const std::string& host) {
-  ClassifiedObject object;
+test::OwnedObject blocked_object(adblock::ListKind kind,
+                                 const std::string& page_host,
+                                 const std::string& host) {
+  test::OwnedObject object;
   object.object.url = *http::Url::parse("http://" + host + "/y.gif");
   object.page_host = page_host;
   object.verdict.decision = adblock::Decision::kBlocked;

@@ -8,6 +8,9 @@
 #include <vector>
 
 #include "core/classifier.h"
+#include "core/page_segmenter.h"
+#include "core/user_index.h"
+#include "support/owned_object.h"
 #include "util/strings.h"
 
 namespace adscope::core {
@@ -31,7 +34,7 @@ class ClassifierTest : public ::testing::Test {
     classifier_ = std::make_unique<TraceClassifier>(engine_, options);
     output_.clear();
     classifier_->set_callback(
-        [this](const ClassifiedObject& object) { output_.push_back(object); });
+        [this](const ClassifiedObject& out) { output_.emplace_back(out); });
   }
 
   analyzer::WebObject object(const std::string& url,
@@ -51,18 +54,18 @@ class ClassifierTest : public ::testing::Test {
     return web;
   }
 
-  const ClassifiedObject& find(const std::string& url_spec) {
+  const test::OwnedObject& find(const std::string& url_spec) {
     for (const auto& out : output_) {
       if (out.object.url.spec() == url_spec) return out;
     }
     ADD_FAILURE() << "not emitted: " << url_spec;
-    static ClassifiedObject dummy;
+    static test::OwnedObject dummy;
     return dummy;
   }
 
   adblock::FilterEngine engine_ = make_engine();
   std::unique_ptr<TraceClassifier> classifier_;
-  std::vector<ClassifiedObject> output_;
+  std::vector<test::OwnedObject> output_;
 };
 
 TEST_F(ClassifierTest, DocumentStartsPage) {
@@ -205,6 +208,65 @@ TEST_F(ClassifierTest, UserEvictionFlushesPending) {
   }
   // User 1 was evicted; its held redirect must have been emitted.
   find("http://adnet.test/adclick?d=1");
+}
+
+// --- the user key, from the classifier into the per-user aggregates ---
+
+TEST_F(ClassifierTest, TwoUserAgentsBehindOneIpStayTwoUsers) {
+  UserIndex index;
+  PageSegmenter segmenter;
+  std::vector<PageView> views;
+  segmenter.set_callback([&](const PageView& view) { views.push_back(view); });
+  classifier_->set_callback([&](const ClassifiedObject& out) {
+    EXPECT_EQ(out.user_key,
+              user_key(out.object.client_ip, out.object.user_agent));
+    index.add(out);
+    segmenter.add(out);
+  });
+  for (const char* ua : {"ua-a", "ua-b", "ua-a"}) {
+    auto web = object("http://site.test/index.html", "", "text/html");
+    web.user_agent = ua;  // one IP (NAT), two browsers
+    classifier_->process(web);
+  }
+  classifier_->flush();
+  segmenter.flush();
+  ASSERT_EQ(index.users().size(), 2u);
+  for (const auto& [key, stats] : index.users()) {
+    EXPECT_EQ(key, user_key(1, stats.user_agent));
+    EXPECT_EQ(stats.requests, stats.user_agent == "ua-a" ? 2u : 1u);
+  }
+  ASSERT_EQ(views.size(), 2u);  // the same page, viewed by each browser
+  EXPECT_NE(views[0].user_agent, views[1].user_agent);
+}
+
+TEST_F(ClassifierTest, EvictedUsersKeepOneIndexEntryEach) {
+  ClassifierOptions options;
+  options.max_users = 1;
+  reset(options);
+  UserIndex index;
+  classifier_->set_callback(
+      [&](const ClassifiedObject& out) { index.add(out); });
+  // Two users alternate, so each arrival evicts the other; the evicted
+  // user's held redirect is emitted under its own key, and a returning
+  // user lands in a recycled slot under its own key again.
+  for (int round = 0; round < 4; ++round) {
+    for (const char* ua : {"ua-a", "ua-b"}) {
+      auto page = object("http://site.test/", "", "text/html");
+      auto redirect = object("http://site.test/out", "http://site.test/",
+                             "text/html", 302, "http://cdn.test/x.gif");
+      page.user_agent = ua;
+      redirect.user_agent = ua;
+      classifier_->process(page);
+      classifier_->process(redirect);
+    }
+  }
+  classifier_->flush();
+  EXPECT_EQ(classifier_->redirects_expired(), 8u);
+  ASSERT_EQ(index.users().size(), 2u);
+  for (const auto& [key, stats] : index.users()) {
+    EXPECT_EQ(key, user_key(1, stats.user_agent));
+    EXPECT_EQ(stats.requests, 8u);
+  }
 }
 
 TEST_F(ClassifierTest, ProcessedCounter) {

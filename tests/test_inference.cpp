@@ -3,17 +3,18 @@
 
 #include "core/inference.h"
 #include "core/user_index.h"
+#include "support/owned_object.h"
 
 namespace adscope::core {
 namespace {
 
 // Hand-built ClassifiedObjects: no engine needed since Classification
 // carries its own list kinds.
-ClassifiedObject make_object(netdb::IpV4 ip, const std::string& ua,
-                             adblock::Decision decision,
-                             adblock::ListKind kind,
-                             std::uint64_t bytes = 100) {
-  ClassifiedObject object;
+test::OwnedObject make_object(netdb::IpV4 ip, const std::string& ua,
+                              adblock::Decision decision,
+                              adblock::ListKind kind,
+                              std::uint64_t bytes = 100) {
+  test::OwnedObject object;
   object.object.client_ip = ip;
   object.object.user_agent = ua;
   object.object.content_length = bytes;

@@ -155,6 +155,17 @@ TEST_F(IntegrationTest, RtbSignalPresent) {
   EXPECT_TRUE(hosts[0].domain.find("sim") != std::string::npos);
 }
 
+TEST_F(IntegrationTest, PageAttributionCountsPinned) {
+  // Exact classifier outcomes on this run, as first recorded: a change
+  // to how records are keyed or looked up (user keys, URL hashes, map
+  // eviction) must not move a single redirect between patched and
+  // expired.
+  const auto& counters = run().study->classifier().counters();
+  EXPECT_EQ(counters.processed, 330006u);
+  EXPECT_EQ(counters.redirects_patched, 1084u);
+  EXPECT_EQ(counters.redirects_expired, 108u);
+}
+
 TEST_F(IntegrationTest, AbpHouseholdShareConsistent) {
   const auto& users = run().study->users();
   // Detected ABP households must not exceed the simulated ones. With

@@ -2,14 +2,15 @@
 #include <gtest/gtest.h>
 
 #include "core/page_segmenter.h"
+#include "support/owned_object.h"
 
 namespace adscope::core {
 namespace {
 
-ClassifiedObject make_object(const std::string& page, std::uint64_t t_ms,
-                             bool ad = false, netdb::IpV4 ip = 1,
-                             const std::string& ua = "ua") {
-  ClassifiedObject object;
+test::OwnedObject make_object(const std::string& page, std::uint64_t t_ms,
+                              bool ad = false, netdb::IpV4 ip = 1,
+                              const std::string& ua = "ua") {
+  test::OwnedObject object;
   object.object.client_ip = ip;
   object.object.user_agent = ua;
   object.object.timestamp_ms = t_ms;
@@ -77,7 +78,7 @@ TEST_F(SegmenterTest, UsersAreSeparate) {
 }
 
 TEST_F(SegmenterTest, PagelessObjectsCounted) {
-  ClassifiedObject orphan = make_object("http://a.test/", 1000);
+  test::OwnedObject orphan = make_object("http://a.test/", 1000);
   orphan.page_url.clear();
   segmenter_.add(orphan);
   segmenter_.flush();

@@ -1,8 +1,11 @@
 // core: bounded maps, referrer map, embedded-URL extraction.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/bounded_map.h"
 #include "core/referrer_map.h"
+#include "util/hash.h"
 
 namespace adscope::core {
 namespace {
@@ -91,6 +94,60 @@ TEST(BoundedMap, BorrowingFindAndTakeInto) {
   EXPECT_TRUE(map.take_into("key", out));
   EXPECT_EQ(out, "value");
   EXPECT_EQ(map.size(), 0u);
+}
+
+TEST(BoundedMap, HashedOverloadsAgreeWithStringOverloads) {
+  // One churn script (puts, overwrites, takes, FIFO eviction) through
+  // the string overloads and through the (hash, key) overloads: every
+  // lookup must agree, whichever overload asks.
+  BoundedStringMap by_key(8);
+  BoundedStringMap by_hash(8);
+  std::string out_key;
+  std::string out_hash;
+  for (int i = 0; i < 400; ++i) {
+    const std::string key = "http://s.test/" + std::to_string(i % 23);
+    const std::string value = "v" + std::to_string(i);
+    const auto hash = util::block_hash(key);
+    if (i % 5 == 4) {
+      ASSERT_EQ(by_key.take_into(key, out_key),
+                by_hash.take_into(hash, key, out_hash));
+      ASSERT_EQ(out_key, out_hash);
+    } else {
+      by_key.put(key, value);
+      by_hash.put(hash, key, value);
+    }
+    ASSERT_EQ(by_key.size(), by_hash.size());
+    for (int k = 0; k < 23; ++k) {
+      const std::string probe = "http://s.test/" + std::to_string(k);
+      const auto probe_hash = util::block_hash(probe);
+      const std::string* a = by_key.find(probe);
+      const std::string* b = by_hash.find(probe_hash, probe);
+      ASSERT_EQ(a == nullptr, b == nullptr) << probe << " at step " << i;
+      if (a != nullptr) {
+        ASSERT_EQ(*a, *b);
+      }
+      ASSERT_EQ(by_key.find(probe_hash, probe), a);
+      ASSERT_EQ(by_hash.find(probe), b);
+    }
+  }
+}
+
+TEST(ReferrerMap, HashedOverloadsMatchStringOverloads) {
+  ReferrerMap map(64);
+  const std::string url = "http://s.test/img.gif";
+  const std::string target = "http://cdn.test/banner.gif";
+  map.note_object(util::block_hash(url), url, "http://s.test/");
+  map.note_redirect(util::block_hash(target), target, "http://s.test/");
+  map.note_embedded(url, "http://e.test/");
+  ASSERT_NE(map.page_of(url), nullptr);
+  EXPECT_EQ(*map.page_of(url), "http://s.test/");
+  ASSERT_NE(map.embedded_page(util::block_hash(url), url), nullptr);
+  EXPECT_EQ(*map.embedded_page(util::block_hash(url), url), "http://e.test/");
+  std::string page;
+  EXPECT_TRUE(
+      map.take_redirect_page_into(util::block_hash(target), target, page));
+  EXPECT_EQ(page, "http://s.test/");
+  EXPECT_FALSE(map.take_redirect_page_into(target, page));
 }
 
 TEST(ReferrerMap, ObjectPages) {

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "analyzer/http_log.h"
-#include "cli_args.h"
 #include "core/parallel_study.h"
 #include "lint/linter.h"
 #include "lint/render.h"
@@ -36,6 +35,7 @@
 #include "trace/mmap_reader.h"
 #include "trace/reader.h"
 #include "trace/writer.h"
+#include "util/cli_args.h"
 #include "util/format.h"
 #include "util/simd.h"
 

@@ -19,7 +19,6 @@
 #include <string>
 #include <thread>
 
-#include "cli_args.h"
 #include "live/http_endpoint.h"
 #include "live/live_study.h"
 #include "live/stream_server.h"
@@ -27,6 +26,7 @@
 #include "sim/listgen.h"
 #include "store/store_service.h"
 #include "store/study_json.h"
+#include "util/cli_args.h"
 #include "util/net_backend.h"
 
 namespace {
