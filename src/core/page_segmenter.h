@@ -84,9 +84,8 @@ class PageSegmenter {
 
   Options options_;
   Callback callback_;
-  /// User keys (ClassifiedObject::user_key) in first-seen order.
-  FlatMap<std::uint64_t, UserViews> users_;
-  OrderRing user_order_;
+  FlatMap<std::uint64_t, UserViews> users_;  // by ClassifiedObject::user_key
+  OrderRing user_order_;  // user keys in first-seen order
   // Closed views, string capacity kept for the next open.
   std::vector<PageView> recycle_;
   // Evicted users, open-list and string capacity kept for the next user.
