@@ -1,5 +1,7 @@
 #include "core/study_snapshot.h"
 
+#include <algorithm>
+
 namespace adscope::core {
 
 StudySnapshot::StudySnapshot(const trace::TraceMeta& meta,
@@ -19,7 +21,11 @@ void StudySnapshot::absorb(const TraceStudy& study) {
   page_views_.merge(study.page_views());
   classifier_counters_.merge(study.classifier().counters());
   https_flows_ += study.https_flows();
-  ++buckets_merged_;
+}
+
+void StudySnapshot::note_bucket(std::uint64_t bucket) {
+  const auto at = std::lower_bound(buckets_.begin(), buckets_.end(), bucket);
+  if (at == buckets_.end() || *at != bucket) buckets_.insert(at, bucket);
 }
 
 void StudySnapshot::merge(const StudySnapshot& other) {
@@ -31,11 +37,7 @@ void StudySnapshot::merge(const StudySnapshot& other) {
   page_views_.merge(other.page_views_);
   classifier_counters_.merge(other.classifier_counters_);
   https_flows_ += other.https_flows_;
-  buckets_merged_ += other.buckets_merged_;
-  if (other.first_bucket_ < first_bucket_) first_bucket_ = other.first_bucket_;
-  if (other.buckets_merged_ > 0 && other.last_bucket_ > last_bucket_) {
-    last_bucket_ = other.last_bucket_;
-  }
+  for (const auto bucket : other.buckets_) note_bucket(bucket);
   if (other.watermark_ms > watermark_ms) watermark_ms = other.watermark_ms;
   records_ingested += other.records_ingested;
   records_dropped += other.records_dropped;

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "core/study.h"
 
@@ -28,7 +29,8 @@ class StudySnapshot {
   StudySnapshot(StudySnapshot&&) = default;
   StudySnapshot& operator=(StudySnapshot&&) = default;
 
-  /// Accumulate one finished per-bucket study.
+  /// Accumulate one finished per-bucket study (note_bucket() records
+  /// which bucket it was).
   void absorb(const TraceStudy& study);
 
   /// Accumulate another snapshot built from the same meta/options shape
@@ -36,18 +38,22 @@ class StudySnapshot {
   /// different worlds is a logic error).
   void merge(const StudySnapshot& other);
 
-  /// Record that `bucket` contributed, widening [first, last].
-  void note_bucket(std::uint64_t bucket) noexcept {
-    if (bucket < first_bucket_) first_bucket_ = bucket;
-    if (bucket > last_bucket_) last_bucket_ = bucket;
-  }
+  /// Record that `bucket` contributed. Buckets are a set: the shards of
+  /// one time bucket count once.
+  void note_bucket(std::uint64_t bucket);
 
   StudyView view() const noexcept;
 
   const trace::TraceMeta& meta() const noexcept { return meta_; }
-  std::uint64_t buckets_merged() const noexcept { return buckets_merged_; }
-  std::uint64_t first_bucket() const noexcept { return first_bucket_; }
-  std::uint64_t last_bucket() const noexcept { return last_bucket_; }
+  /// Distinct time buckets that contributed.
+  std::uint64_t buckets_merged() const noexcept { return buckets_.size(); }
+  /// Oldest/newest contributing bucket; UINT64_MAX/0 when none did.
+  std::uint64_t first_bucket() const noexcept {
+    return buckets_.empty() ? UINT64_MAX : buckets_.front();
+  }
+  std::uint64_t last_bucket() const noexcept {
+    return buckets_.empty() ? 0 : buckets_.back();
+  }
   std::uint64_t bucket_seconds = 0;
   std::uint64_t watermark_ms = 0;
   std::uint64_t records_ingested = 0;
@@ -69,9 +75,8 @@ class StudySnapshot {
   PageViewStats page_views_;
   ClassifierCounters classifier_counters_;
   std::uint64_t https_flows_ = 0;
-  std::uint64_t buckets_merged_ = 0;
-  std::uint64_t first_bucket_ = UINT64_MAX;
-  std::uint64_t last_bucket_ = 0;
+  /// Contributing bucket ids, ascending and distinct.
+  std::vector<std::uint64_t> buckets_;
 };
 
 }  // namespace adscope::core

@@ -443,14 +443,10 @@ std::string HttpEndpoint::render_metrics() const {
   out << "# HELP adscoped_queue_depth Records waiting in shard queues.\n"
       << "# TYPE adscoped_queue_depth gauge\n"
       << "adscoped_queue_depth " << study_.queue_depth() << "\n";
-  out << "# HELP adscoped_buckets Live aggregation buckets held in "
-         "memory.\n"
+  out << "# HELP adscoped_buckets Open (not yet sealed) aggregation "
+         "buckets held in memory.\n"
       << "# TYPE adscoped_buckets gauge\n"
       << "adscoped_buckets " << study_.bucket_count() << "\n";
-  out << "# HELP adscoped_buckets_evicted_total Buckets evicted by the "
-         "sliding window.\n"
-      << "# TYPE adscoped_buckets_evicted_total counter\n"
-      << "adscoped_buckets_evicted_total " << study_.buckets_evicted() << "\n";
   out << "# HELP adscoped_buckets_sealed_total (shard, bucket) studies "
          "sealed so far.\n"
       << "# TYPE adscoped_buckets_sealed_total counter\n"

@@ -114,10 +114,9 @@ class HttpEndpoint {
     std::string etag;
   };
 
-  /// Route dispatch without the socket layer — what the daemon's
-  /// shutdown snapshot and the unit tests call directly. A non-empty
-  /// `if_none_match` revalidates: a matching ETag answers 304 with an
-  /// empty body.
+  /// Route dispatch without the socket layer — what the unit tests
+  /// call directly. A non-empty `if_none_match` revalidates: a matching
+  /// ETag answers 304 with an empty body.
   Response handle(const std::string& method, const std::string& target,
                   const std::string& if_none_match = "") const;
 

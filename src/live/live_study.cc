@@ -1,5 +1,6 @@
 #include "live/live_study.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/hash.h"
@@ -14,7 +15,6 @@ LiveStudy::LiveStudy(const adblock::FilterEngine& engine,
                      LiveStudyOptions options, util::ThreadPool* pool)
     : engine_(engine), registry_(registry), options_(options) {
   if (options_.bucket_seconds == 0) options_.bucket_seconds = 1;
-  if (options_.window_buckets == 0) options_.window_buckets = 1;
   const auto shards = util::resolve_thread_count(options_.threads);
   if (pool != nullptr) {
     if (pool->thread_count() < shards) {
@@ -102,11 +102,7 @@ void LiveStudy::broadcast(Record record) {
 }
 
 void LiveStudy::seal_before(std::uint64_t bucket) {
-  broadcast(Record{Control{Control::Kind::kSealBefore, bucket}});
-}
-
-void LiveStudy::evict_before(std::uint64_t bucket) {
-  broadcast(Record{Control{Control::Kind::kEvictBefore, bucket}});
+  broadcast(Record{SealBefore{bucket}});
 }
 
 void LiveStudy::maintain() {
@@ -114,9 +110,6 @@ void LiveStudy::maintain() {
   const auto open = current_bucket();
   if (open > options_.seal_lag_buckets) {
     seal_before(open - options_.seal_lag_buckets);
-  }
-  if (open >= options_.window_buckets) {
-    evict_before(open - options_.window_buckets + 1);
   }
 }
 
@@ -149,8 +142,8 @@ void LiveStudy::worker_loop(Shard& shard) {
       process(shard, txn->timestamp_ms, txn, nullptr);
     } else if (auto* flow = std::get_if<trace::TlsFlow>(&record)) {
       process(shard, flow->timestamp_ms, nullptr, flow);
-    } else if (auto* control = std::get_if<Control>(&record)) {
-      apply_control(shard, *control);
+    } else if (auto* seal_op = std::get_if<SealBefore>(&record)) {
+      seal(shard, seal_op->bucket);
     } else {
       auto& barrier = *std::get<std::shared_ptr<FlushBarrier>>(record);
       {
@@ -160,105 +153,51 @@ void LiveStudy::worker_loop(Shard& shard) {
       barrier.cv.notify_all();
     }
   }
-  // Queue closed and drained: buckets stay as-is; close() decides
-  // whether a final snapshot seals them.
+  // Queue closed and drained: open buckets are discarded with the
+  // study (the daemon seals before it closes).
 }
 
 void LiveStudy::process(Shard& shard, std::uint64_t timestamp_ms,
                         const trace::HttpTransaction* txn,
                         const trace::TlsFlow* flow) {
   const auto bucket_id = bucket_of_ms(timestamp_ms);
-  util::MutexLock lock(shard.mutex);
   if (bucket_id < shard.floor) {
     late_drops_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   auto it = shard.buckets.find(bucket_id);
   if (it == shard.buckets.end()) {
-    auto bucket = std::make_unique<Bucket>(engine_, registry_, options_.study);
+    auto study = std::make_unique<core::TraceStudy>(engine_, registry_,
+                                                    options_.study);
     {
       // The push path guarantees meta_ was registered before any data
       // record was enqueued.
       util::MutexLock meta_lock(meta_mutex_);
-      bucket->study.on_meta(meta_);
+      study->on_meta(meta_);
     }
-    it = shard.buckets.emplace(bucket_id, std::move(bucket)).first;
-  }
-  if (it->second->sealed) {
-    late_drops_.fetch_add(1, std::memory_order_relaxed);
-    return;
+    it = shard.buckets.emplace(bucket_id, std::move(study)).first;
+    open_buckets_.fetch_add(1, std::memory_order_relaxed);
   }
   if (txn != nullptr) {
-    it->second->study.on_http(*txn);
+    it->second->on_http(*txn);
   } else {
-    it->second->study.on_tls(*flow);
+    it->second->on_tls(*flow);
   }
 }
 
-void LiveStudy::apply_control(Shard& shard, const Control& control) {
-  util::MutexLock lock(shard.mutex);
-  switch (control.kind) {
-    case Control::Kind::kSealBefore:
-      for (auto& [id, bucket] : shard.buckets) {
-        if (id >= control.bucket) break;
-        if (!bucket->sealed) {
-          bucket->study.finish();
-          bucket->sealed = true;
-          buckets_sealed_.fetch_add(1, std::memory_order_relaxed);
-          if (options_.on_seal) {
-            options_.on_seal(id, shard.index, bucket->study);
-          }
-        }
-      }
-      if (control.bucket != kAllBuckets && control.bucket > shard.floor) {
-        shard.floor = control.bucket;
-      }
-      break;
-    case Control::Kind::kEvictBefore: {
-      auto it = shard.buckets.begin();
-      while (it != shard.buckets.end() && it->first < control.bucket) {
-        it = shard.buckets.erase(it);
-        buckets_evicted_.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (control.bucket > shard.floor) shard.floor = control.bucket;
-      break;
-    }
+void LiveStudy::seal(Shard& shard, std::uint64_t before) {
+  auto it = shard.buckets.begin();
+  while (it != shard.buckets.end() && it->first < before) {
+    auto& [id, study] = *it;
+    study->finish();
+    buckets_sealed_.fetch_add(1, std::memory_order_relaxed);
+    if (options_.on_seal) options_.on_seal(id, shard.index, *study);
+    // A sealed id never reopens, so the store never sees it twice.
+    shard.floor = std::max(shard.floor, id + 1);
+    it = shard.buckets.erase(it);
+    open_buckets_.fetch_sub(1, std::memory_order_relaxed);
   }
-}
-
-StudySnapshot LiveStudy::snapshot(std::uint64_t min_bucket,
-                                  std::uint64_t max_bucket) const {
-  trace::TraceMeta meta;
-  {
-    util::MutexLock lock(meta_mutex_);
-    meta = meta_;
-  }
-  StudySnapshot snap(meta, options_.study);
-  snap.bucket_seconds = options_.bucket_seconds;
-  snap.watermark_ms = watermark_ms();
-  snap.records_ingested = records_ingested();
-  snap.records_dropped = total_drops();
-  // Shard-major merge order; every aggregate's merge() is commutative
-  // and associative (asserted by the PR-1 merge-law tests), so this is
-  // equivalent to any other order, and deterministic.
-  for (const auto& shard : shards_) {
-    util::MutexLock lock(shard->mutex);
-    for (const auto& [id, bucket] : shard->buckets) {
-      if (id < min_bucket || id > max_bucket || !bucket->sealed) continue;
-      snap.absorb(bucket->study);
-      snap.note_bucket(id);
-    }
-  }
-  return snap;
-}
-
-StudySnapshot LiveStudy::snapshot_window(std::uint64_t window_s) const {
-  if (window_s == 0) return snapshot();
-  const auto open = current_bucket();
-  const auto span = (window_s + options_.bucket_seconds - 1) /
-                    options_.bucket_seconds;
-  const auto min_bucket = open >= span ? open - span + 1 : 0;
-  return snapshot(min_bucket, kAllBuckets);
+  if (before != kAllBuckets) shard.floor = std::max(shard.floor, before);
 }
 
 void LiveStudy::close() {
@@ -276,15 +215,6 @@ std::size_t LiveStudy::queue_depth() const {
   std::size_t depth = 0;
   for (const auto& shard : shards_) depth += shard->queue.size();
   return depth;
-}
-
-std::size_t LiveStudy::bucket_count() const {
-  std::size_t count = 0;
-  for (const auto& shard : shards_) {
-    util::MutexLock lock(shard->mutex);
-    count += shard->buckets.size();
-  }
-  return count;
 }
 
 }  // namespace adscope::live

@@ -1,4 +1,4 @@
-// LiveStudy — sliding-window online version of the trace analysis.
+// LiveStudy — online, time-bucketed version of the trace analysis.
 //
 // The batch pipelines (core::TraceStudy, core::ParallelTraceStudy) answer
 // "what happened in this trace" after the fact; LiveStudy answers "what
@@ -7,32 +7,33 @@
 //
 //   ingest threads ──BoundedQueue──▶ shard workers (hash(client_ip))
 //                                        │
-//                            ring of time buckets, one complete
-//                            TraceStudy per (shard, bucket)
+//                            open time buckets, one TraceStudy
+//                            per (shard, bucket)
 //                                        │
-//   snapshot() ◀── merge() of every *sealed* bucket, shard-merge laws
-//                  from PR-1 make the result order-independent
+//                 seal: finish() ──on_seal──▶ snapshot store, then free
 //
 // Bucket lifecycle: a record with timestamp t lands in bucket
 // t / bucket_seconds. When the watermark (max timestamp seen) moves past
-// a bucket, maintain() seals it — its TraceStudy is finish()ed and
-// becomes immutable — and buckets older than the retention window are
-// evicted, so memory stays bounded no matter how long the daemon runs.
-// Records for sealed or evicted buckets are dropped and counted
-// (late_drops) instead of corrupting finished aggregates.
+// a bucket by more than the allowed lateness, maintain() seals it: the
+// shard worker finish()es its TraceStudy, hands it to on_seal and frees
+// it. LiveStudy holds only open buckets (at most seal_lag_buckets + 1
+// per shard on time-ordered input); sealed history lives in exactly one
+// place, the store on_seal feeds (store::SnapshotTree), under that
+// store's retention. Records for buckets at or below the highest sealed
+// id are dropped and counted (late_drops) instead of reopening a bucket
+// whose study was already handed off.
 //
 // Identity invariant (tests/test_live_study.cpp): when no per-user
-// activity spans a bucket boundary, the merged view over the surviving
-// buckets is byte-identical to a serial TraceStudy over only the
-// surviving records — eviction is exact subtraction, not an estimate.
-// Cross-boundary activity degrades gracefully: the classifier's
-// referrer/redirect context restarts per bucket, exactly as the PR-1
-// shard caps do per shard.
+// activity spans a bucket boundary, a store fed by on_seal renders the
+// buckets it retains byte-identically to a serial TraceStudy over only
+// their records. Cross-boundary activity degrades gracefully: the
+// classifier's referrer/redirect context restarts per bucket, exactly as
+// the PR-1 shard caps do per shard.
 //
 // Thread safety: on_meta/on_http/on_tls may be called from any number of
-// ingest threads; control operations (seal/evict) travel through the
-// same queues as data, so they apply in order; snapshot() may run
-// concurrently with ingest.
+// ingest threads; seals travel through the same queues as data, so they
+// apply in order. Each shard's buckets belong to its worker thread
+// alone; the observability counters are atomics.
 #pragma once
 
 #include <atomic>
@@ -45,19 +46,11 @@
 #include <vector>
 
 #include "core/study.h"
-#include "core/study_snapshot.h"
 #include "util/annotations.h"
 #include "util/bounded_queue.h"
 #include "util/thread_pool.h"
 
 namespace adscope::live {
-
-/// Owned merge of sealed buckets — unlike StudyView (which borrows from
-/// a live study), a snapshot survives independently of further ingest,
-/// so the HTTP handlers can render it without holding any lock. Now a
-/// core type (core/study_snapshot.h) so the snapshot store can hold and
-/// roll up snapshots without depending on the live layer.
-using StudySnapshot = core::StudySnapshot;
 
 struct LiveStudyOptions {
   /// Forwarded verbatim to every bucket's TraceStudy.
@@ -66,10 +59,13 @@ struct LiveStudyOptions {
   std::size_t threads = 1;
   /// Records buffered per shard before ingest threads block.
   std::size_t queue_capacity = 4096;
-  /// Width of one time bucket. Sliding windows are answered in whole
-  /// buckets, so this is the window-resolution / memory trade-off.
+  /// Width of one time bucket: the resolution of the sealed history
+  /// the store serves.
   std::uint64_t bucket_seconds = 300;
-  /// Buckets retained before eviction (default: 24 h at 5 min).
+  /// Not read by LiveStudy: sealed buckets are freed at seal and the
+  /// store's retention bounds history. Kept only because perfbench's
+  /// query-serve workload sets and reads it; the next benchmark change
+  /// removes it.
   std::uint64_t window_buckets = 288;
   /// Allowed lateness: maintain() keeps this many whole buckets below
   /// the watermark open, so records arriving up to seal_lag_buckets *
@@ -77,11 +73,11 @@ struct LiveStudyOptions {
   /// dropped as late. 0 = seal aggressively (strictly ordered input).
   std::uint64_t seal_lag_buckets = 1;
   /// Seal hook: invoked by the shard worker the moment a bucket's study
-  /// is finish()ed and becomes immutable — the feed point for the
-  /// snapshot store. Runs on the worker thread with the shard lock
-  /// held: the callback may read the study and must not call back into
-  /// the LiveStudy. The study reference is valid until the bucket is
-  /// evicted; copy out (StudySnapshot::absorb) before returning.
+  /// is finish()ed — the feed point for the snapshot store, and the
+  /// only way sealed data leaves the LiveStudy. Runs on the worker
+  /// thread: the callback may read the study and must not call back
+  /// into the LiveStudy. The study is freed when the callback returns;
+  /// copy out (StudySnapshot::absorb) before returning.
   std::function<void(std::uint64_t bucket_id, std::size_t shard,
                      const core::TraceStudy& study)>
       on_seal;
@@ -110,45 +106,33 @@ class LiveStudy final : public trace::TraceSink {
   void on_http(const trace::HttpTransaction& txn) override;
   void on_tls(const trace::TlsFlow& flow) override;
 
-  /// Seal every bucket with id < `bucket`: their studies are finished
-  /// and become immutable inputs for snapshot(). Applied in-queue-order
-  /// by the shard workers (asynchronous — flush() to wait).
+  /// Seal every bucket with id < `bucket`: each study is finished,
+  /// handed to on_seal and freed. Later records for ids below `bucket`
+  /// (or at or below the highest id sealed) are late-dropped. Applied
+  /// in-queue-order by the shard workers (asynchronous — flush() to
+  /// wait).
   void seal_before(std::uint64_t bucket);
   /// Seal everything, including the open bucket (end of stream).
   void seal_all() { seal_before(kAllBuckets); }
-  /// Drop buckets with id < `bucket` (they stop contributing to
-  /// snapshots and their memory is released). Implies a seal floor:
-  /// later records for evicted buckets are late-dropped.
-  void evict_before(std::uint64_t bucket);
 
-  /// Watermark-driven housekeeping: seals buckets the watermark has
-  /// passed and evicts those older than the retention window. The
-  /// serving layer calls this periodically.
+  /// Watermark-driven housekeeping: seals the buckets the watermark has
+  /// passed by more than seal_lag_buckets. The serving layer calls this
+  /// periodically.
   void maintain();
 
   /// Blocks until every record and control op enqueued before this call
   /// was processed by its shard worker.
   void flush();
 
-  /// Merge every sealed bucket with id in [min_bucket, max_bucket] into
-  /// an owned snapshot. Runs concurrently with ingest.
-  StudySnapshot snapshot(std::uint64_t min_bucket = 0,
-                         std::uint64_t max_bucket = kAllBuckets) const;
-  /// Snapshot of the trailing `window_s` seconds (whole buckets, ending
-  /// at the current watermark bucket). window_s == 0 means everything.
-  StudySnapshot snapshot_window(std::uint64_t window_s) const;
-
   /// Close the queues and join the workers. Records pushed afterwards
-  /// are dropped (closed_drops). snapshot() remains valid. Idempotent.
+  /// are dropped (closed_drops); buckets still open are discarded with
+  /// the study. Idempotent.
   void close();
 
   // -- observability (all safe from any thread) -----------------------
   std::size_t shard_count() const noexcept { return shards_.size(); }
   std::uint64_t bucket_seconds() const noexcept {
     return options_.bucket_seconds;
-  }
-  std::uint64_t window_buckets() const noexcept {
-    return options_.window_buckets;
   }
   /// Highest record timestamp accepted so far (ms; 0 before any record).
   std::uint64_t watermark_ms() const noexcept {
@@ -164,7 +148,7 @@ class LiveStudy final : public trace::TraceSink {
   std::uint64_t records_ingested() const noexcept {
     return records_ingested_.load(std::memory_order_relaxed);
   }
-  /// Records for already-sealed or evicted buckets.
+  /// Records for already-sealed buckets.
   std::uint64_t late_drops() const noexcept {
     return late_drops_.load(std::memory_order_relaxed);
   }
@@ -182,24 +166,20 @@ class LiveStudy final : public trace::TraceSink {
   std::uint64_t metas_ignored() const noexcept {
     return metas_ignored_.load(std::memory_order_relaxed);
   }
-  std::uint64_t buckets_evicted() const noexcept {
-    return buckets_evicted_.load(std::memory_order_relaxed);
-  }
-  /// (shard, bucket) studies sealed so far. Monotone; together with the
-  /// eviction and ingest counters it fingerprints the serving state, so
-  /// the HTTP layer derives ETags from it.
+  /// (shard, bucket) studies sealed (and handed to on_seal) so far.
+  /// Monotone.
   std::uint64_t buckets_sealed() const noexcept {
     return buckets_sealed_.load(std::memory_order_relaxed);
   }
   /// Records currently queued across all shards.
   std::size_t queue_depth() const;
-  /// Live (non-evicted) buckets across all shards.
-  std::size_t bucket_count() const;
+  /// Open (not yet sealed) buckets across all shards.
+  std::size_t bucket_count() const noexcept {
+    return open_buckets_.load(std::memory_order_relaxed);
+  }
 
  private:
-  struct Control {
-    enum class Kind : std::uint8_t { kSealBefore, kEvictBefore };
-    Kind kind = Kind::kSealBefore;
+  struct SealBefore {
     std::uint64_t bucket = 0;
   };
   struct FlushBarrier {
@@ -207,17 +187,8 @@ class LiveStudy final : public trace::TraceSink {
     util::CondVar cv;
     std::size_t remaining ADSCOPE_GUARDED_BY(mutex) = 0;
   };
-  using Record = std::variant<trace::HttpTransaction, trace::TlsFlow, Control,
+  using Record = std::variant<trace::HttpTransaction, trace::TlsFlow, SealBefore,
                               std::shared_ptr<FlushBarrier>>;
-
-  struct Bucket {
-    Bucket(const adblock::FilterEngine& engine,
-           const netdb::AbpServerRegistry& registry,
-           const core::StudyOptions& options)
-        : study(engine, registry, options) {}
-    core::TraceStudy study;
-    bool sealed = false;
-  };
 
   struct Shard {
     Shard(std::size_t shard_index, std::size_t queue_capacity)
@@ -225,18 +196,17 @@ class LiveStudy final : public trace::TraceSink {
     const std::size_t index;
     util::BoundedQueue<Record> queue;
     std::future<void> done;
-    mutable util::Mutex mutex;
-    std::map<std::uint64_t, std::unique_ptr<Bucket>> buckets
-        ADSCOPE_GUARDED_BY(mutex);
-    // Bucket ids below the floor are sealed or evicted.
-    std::uint64_t floor ADSCOPE_GUARDED_BY(mutex) = 0;
+    // Open buckets and the seal floor belong to the worker thread.
+    std::map<std::uint64_t, std::unique_ptr<core::TraceStudy>> buckets;
+    // Bucket ids below the floor are sealed.
+    std::uint64_t floor = 0;
   };
 
   std::size_t shard_of(netdb::IpV4 client_ip) const noexcept;
   void worker_loop(Shard& shard);
   void process(Shard& shard, std::uint64_t timestamp_ms,
                const trace::HttpTransaction* txn, const trace::TlsFlow* flow);
-  void apply_control(Shard& shard, const Control& control);
+  void seal(Shard& shard, std::uint64_t before);
   void push_record(std::size_t shard, Record record);
   void note_watermark(std::uint64_t timestamp_ms);
   void broadcast(Record record);
@@ -248,7 +218,7 @@ class LiveStudy final : public trace::TraceSink {
   util::ThreadPool* pool_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  mutable util::Mutex meta_mutex_;
+  util::Mutex meta_mutex_;
   trace::TraceMeta meta_ ADSCOPE_GUARDED_BY(meta_mutex_);
   std::atomic<bool> meta_set_{false};
 
@@ -258,8 +228,8 @@ class LiveStudy final : public trace::TraceSink {
   std::atomic<std::uint64_t> pre_meta_drops_{0};
   std::atomic<std::uint64_t> closed_drops_{0};
   std::atomic<std::uint64_t> metas_ignored_{0};
-  std::atomic<std::uint64_t> buckets_evicted_{0};
   std::atomic<std::uint64_t> buckets_sealed_{0};
+  std::atomic<std::size_t> open_buckets_{0};
   std::atomic<bool> closed_{false};
 };
 

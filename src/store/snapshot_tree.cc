@@ -65,15 +65,16 @@ core::StudySnapshot SnapshotTree::merge(
   core::StudySnapshot merged = make_snapshot_locked();
   // Bucket-major, shard-minor: every aggregate's merge() is commutative
   // and associative (the PR-1 merge-law property tests), so this order
-  // renders byte-identically to LiveStudy::snapshot()'s shard-major
-  // walk — the invariant the /query-vs-/study identity tests pin.
+  // renders byte-identically to absorbing the same sealed studies in any
+  // other order — the invariant the store identity tests pin. Each leaf
+  // carries its bucket id, so the shards of one bucket count once in
+  // buckets_merged.
   for (auto it = buckets_.lower_bound(min_bucket); it != buckets_.end();
        ++it) {
     if (it->first > max_bucket) break;
     for (const auto& [shard_id, leaf] : it->second) {
       if (shard.has_value() && shard_id != *shard) continue;
       merged.merge(leaf);
-      merged.note_bucket(it->first);
     }
   }
   return merged;

@@ -12,10 +12,10 @@
 //           rendering the requested view.
 //
 // Feeding: LiveStudy's on_seal hook (and `adscope query` offline) calls
-// ingest() the moment a bucket study is finish()ed; the tree owns an
-// independent copy, so queries over history keep working after the
-// live ring evicts its buckets. Retention is the tree's own knob
-// (retention_buckets) — the memory budget for served history.
+// ingest() the moment a bucket study is finish()ed; LiveStudy frees the
+// study when the hook returns, so the tree holds the only copy of sealed
+// history. Retention (retention_buckets, adscoped's --window-s) is the
+// one memory budget for it.
 //
 // Epoch: a monotone counter bumped on every mutation (ingest or
 // eviction). Response caching and ETags key on it: equal epoch (plus
@@ -62,9 +62,9 @@ class SnapshotTree {
   SnapshotTree& operator=(const SnapshotTree&) = delete;
 
   /// Copies the sealed study into the (bucket, shard) leaf and updates
-  /// the materialized rollups. Called from shard workers (under the
-  /// LiveStudy shard lock) — must stay callback-safe: no calls back
-  /// into the live layer.
+  /// the materialized rollups. Called from LiveStudy's shard workers,
+  /// concurrently — must stay callback-safe: no calls back into the
+  /// live layer.
   void ingest(std::uint64_t bucket_id, std::size_t shard,
               const core::TraceStudy& study);
 

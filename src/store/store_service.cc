@@ -122,9 +122,8 @@ StoreService::Response StoreService::render(const QuerySpec& spec,
           min_bucket = newest.value_or(1);
           max_bucket = newest.value_or(0);
         } else if (spec.params.window_s > 0) {
-          // Trailing window anchored on the live watermark bucket —
-          // the exact math of LiveStudy::snapshot_window, so the store
-          // and the live ring agree on which buckets a window covers.
+          // Trailing window of whole buckets, ending at the live
+          // watermark's bucket.
           const auto span =
               (spec.params.window_s + tree_.bucket_seconds() - 1) /
               tree_.bucket_seconds();

@@ -38,7 +38,7 @@ struct LiveStats {
   std::uint64_t records_ingested = 0;
   std::uint64_t records_dropped = 0;
   /// Bucket containing the watermark — the anchor for trailing
-  /// window_s= queries (same math as LiveStudy::snapshot_window).
+  /// window_s= queries.
   std::uint64_t current_bucket = 0;
 };
 using LiveStatsFn = std::function<LiveStats()>;

@@ -7,8 +7,7 @@
 // from the text renderers so the serving layer has a stable
 // machine-readable schema while the human report stays free to change
 // wording. The /query path engine renders through these, and the
-// daemon's shutdown snapshot and the snapshot-store tests call them
-// directly on LiveStudy snapshots.
+// snapshot-store tests call them directly on snapshots they merge.
 #pragma once
 
 #include <cstddef>

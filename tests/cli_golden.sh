@@ -7,9 +7,8 @@
 # `adscope gen --households 40 --hours 1` trace (seed 42):
 #   study.txt  the study report (everything after the first blank line)
 #   query.txt  the /query/{summary,users,traffic,infra}/* bodies
-# and must match byte for byte at --threads 1 and --threads 3. The one
-# field that counts shards, the query window's "buckets_merged" (each
-# shard seals its own buckets), is left out of the --threads 3 check.
+# and must match byte for byte, every field, at --threads 1 and
+# --threads 3.
 #
 # Usage: cli_golden.sh path/to/adscope path/to/golden-dir [--update]
 # --update rewrites the goldens from this build (--threads 1); use it
@@ -52,13 +51,10 @@ same() {
   fi
 }
 
-unshard='s/"buckets_merged":[0-9]*,//'
 outputs 1
 same "$golden/study.txt" study.1 1
 same "$golden/query.txt" query.1 1
 outputs 3
 same "$golden/study.txt" study.3 3
-sed "$unshard" "$golden/query.txt" > query.golden.3
-sed "$unshard" query.3 > query.3.unsharded
-same query.golden.3 query.3.unsharded 3
+same "$golden/query.txt" query.3 3
 echo "cli golden: ok"

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <initializer_list>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -206,14 +207,23 @@ TEST_F(LiveServerTest, EndToEndReplayMatchesOfflineStudy) {
   EXPECT_EQ(study.records_ingested(), sample_records());
   EXPECT_EQ(study.total_drops(), 0u);
 
-  // Identity 1: the merged live view renders the offline report.
-  EXPECT_EQ(report_of(study.snapshot().view()), offline_report);
+  // Identity 1: the store's merged shard leaves render the offline
+  // report.
+  EXPECT_EQ(report_of(store->tree().merge(0, UINT64_MAX, std::nullopt).view()),
+            offline_report);
 
-  // Identity 2: /study/summary over the wire equals the in-process
-  // rendering of the offline-equivalent snapshot.
+  // Identity 2: /study/summary over the wire equals the offline study
+  // rendered as the one bucket it covers.
+  core::StudySnapshot offline_snapshot(offline.meta(), study_options());
+  offline_snapshot.bucket_seconds = options.bucket_seconds;
+  offline_snapshot.absorb(offline);
+  offline_snapshot.note_bucket(0);
+  offline_snapshot.watermark_ms = study.watermark_ms();
+  offline_snapshot.records_ingested = study.records_ingested();
+  offline_snapshot.records_dropped = study.total_drops();
   const auto wire = http_get(endpoint.port(), "/study/summary");
   EXPECT_NE(wire.find("HTTP/1.1 200 OK"), std::string::npos);
-  EXPECT_EQ(body_of(wire), store::summary_json(study.snapshot()));
+  EXPECT_EQ(body_of(wire), store::summary_json(offline_snapshot));
 
   const auto metrics =
       body_of(http_get(endpoint.port(), "/metrics"));
@@ -229,7 +239,9 @@ TEST_F(LiveServerTest, EndToEndReplayMatchesOfflineStudy) {
 }
 
 TEST_F(LiveServerTest, GracefulStopLosesNoAcceptedRecords) {
-  live::LiveStudy study(engine(), eco().abp_registry(), live_options(2));
+  auto options = live_options(2);
+  const auto store = make_store(options);
+  live::LiveStudy study(engine(), eco().abp_registry(), options);
   live::TraceStreamServer server(study, util::ListenSocket::tcp(0));
   server.start();
 
@@ -250,11 +262,11 @@ TEST_F(LiveServerTest, GracefulStopLosesNoAcceptedRecords) {
   server.stop();
   study.seal_all();
   study.flush();
-  const auto snapshot = study.snapshot();
+  const auto snapshot = store->tree().merge(0, UINT64_MAX, std::nullopt);
   study.close();
 
-  EXPECT_EQ(snapshot.records_ingested, sample_records());
-  EXPECT_EQ(snapshot.records_dropped, 0u);
+  EXPECT_EQ(study.records_ingested(), sample_records());
+  EXPECT_EQ(study.total_drops(), 0u);
   EXPECT_EQ(snapshot.view().traffic->requests(), sample_trace().http().size());
   EXPECT_EQ(snapshot.https_flows(), sample_trace().tls().size());
   EXPECT_EQ(server.streams_completed(), 0u);  // no end marker arrived
@@ -436,8 +448,9 @@ void LiveServerTest::expect_fan_in_identical(
     for (const std::size_t threads : thread_counts) {
       SCOPED_TRACE(std::string("backend=") + util::to_string(backend) +
                    " threads=" + std::to_string(threads));
-      live::LiveStudy study(engine(), eco().abp_registry(),
-                            live_options(threads));
+      auto options = live_options(threads);
+      const auto store = make_store(options);
+      live::LiveStudy study(engine(), eco().abp_registry(), options);
       live::StreamServerOptions server_options;
       // A request above what the kernel supports resolves downward, so
       // the uring leg degrades to epoll (never fails) on old kernels.
@@ -471,14 +484,14 @@ void LiveServerTest::expect_fan_in_identical(
       server.stop();
       study.seal_all();
       study.flush();
-      const auto snapshot = study.snapshot();
+      const auto snapshot = store->tree().merge(0, UINT64_MAX, std::nullopt);
       study.close();
 
       EXPECT_EQ(server.connections_total(), connections);
       EXPECT_EQ(server.connections_rejected(), 0u);
       EXPECT_EQ(server.decode_errors(), 0u);
-      EXPECT_EQ(snapshot.records_ingested, sample_records());
-      EXPECT_EQ(snapshot.records_dropped, 0u);
+      EXPECT_EQ(study.records_ingested(), sample_records());
+      EXPECT_EQ(study.total_drops(), 0u);
       const auto report = report_of(snapshot.view());
       EXPECT_TRUE(report == offline_report)
           << "live report diverged from the offline reference";

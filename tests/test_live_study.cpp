@@ -1,15 +1,18 @@
-// live: StreamDecoder, JsonWriter and LiveStudy windowing.
+// live: StreamDecoder, JsonWriter and LiveStudy's seal-and-free bucket
+// lifecycle.
 //
-// The load-bearing guarantee is the window-rotation identity: after
-// buckets are sealed and evicted, the merged snapshot over the
-// surviving buckets renders a report byte-identical to a fresh serial
-// TraceStudy fed only the surviving records — at 1, 2 and 7 ingest
-// threads. The construction keeps per-user activity inside one bucket
-// (distinct users per epoch), which is exactly the precondition the
-// LiveStudy header documents.
+// The load-bearing guarantee is the rotation identity: LiveStudy hands
+// each sealed bucket to a snapshot store through on_seal and frees it,
+// and a store that retains the newest buckets renders a report
+// byte-identical to a fresh serial TraceStudy fed only their records —
+// at 1, 2 and 7 ingest threads. The construction keeps per-user
+// activity inside one bucket (distinct users per epoch), which is
+// exactly the precondition the LiveStudy header documents.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -22,6 +25,7 @@
 #include "sim/listgen.h"
 #include "sim/rbn_sim.h"
 #include "stats/json.h"
+#include "store/store_service.h"
 #include "store/study_json.h"
 #include "trace/stream.h"
 #include "trace/writer.h"
@@ -296,11 +300,63 @@ class LiveStudyTest : public ::testing::Test {
   static std::uint64_t epoch_records() {
     return epoch_trace().http().size() + epoch_trace().tls().size();
   }
+
+  /// A LiveStudy whose seal hook feeds a snapshot store, as adscoped
+  /// wires them: the store holds the only copy of sealed history.
+  /// Declaration order matters: the store must outlive the study.
+  struct Fed {
+    store::StoreService store;
+    live::LiveStudy study;
+
+    explicit Fed(live::LiveStudyOptions options,
+                 std::uint64_t retention_buckets = 0)
+        : store(store_options(options, retention_buckets), &eco().asn_db()),
+          study(engine(), eco().abp_registry(), with_seal_hook(options)) {
+      store.set_live_stats([this] {
+        return store::LiveStats{study.watermark_ms(), study.records_ingested(),
+                                study.total_drops(), study.current_bucket()};
+      });
+    }
+    ~Fed() { study.close(); }
+
+    store::SnapshotTree& tree() { return store.tree(); }
+    /// Every bucket the store retains, merged.
+    core::StudySnapshot merged() const {
+      return store.tree().merge(0, UINT64_MAX, std::nullopt);
+    }
+
+   private:
+    static store::StoreServiceOptions store_options(
+        const live::LiveStudyOptions& live, std::uint64_t retention_buckets) {
+      store::StoreServiceOptions options;
+      options.tree.study = live.study;
+      options.tree.bucket_seconds = live.bucket_seconds;
+      options.tree.retention_buckets = retention_buckets;
+      return options;
+    }
+    live::LiveStudyOptions with_seal_hook(live::LiveStudyOptions options) {
+      options.on_seal = [this](std::uint64_t bucket_id, std::size_t shard,
+                               const core::TraceStudy& sealed) {
+        store.tree().ingest(bucket_id, shard, sealed);
+      };
+      return options;
+    }
+  };
+
+  static live::LiveStudyOptions live_options(std::size_t threads,
+                                             std::uint64_t bucket_seconds) {
+    live::LiveStudyOptions options;
+    options.study = study_options();
+    options.threads = threads;
+    options.bucket_seconds = bucket_seconds;
+    return options;
+  }
 };
 
 // ---------------------------------------------------------------------------
-// Window rotation: evict the oldest epoch, compare against a fresh
-// serial study over the survivors. Byte-identical, at 1/2/7 threads.
+// Window rotation: the store retains the two newest epochs, compare
+// against a fresh serial study over the survivors. Byte-identical, at
+// 1/2/7 threads.
 
 TEST_F(LiveStudyTest, RotationIdentityAtOneTwoAndSevenThreads) {
   // Serial ground truth: epochs 1 and 2 only, same meta.
@@ -312,134 +368,222 @@ TEST_F(LiveStudyTest, RotationIdentityAtOneTwoAndSevenThreads) {
   const auto serial_report = report_of(serial.view());
 
   for (const std::size_t threads : {1u, 2u, 7u}) {
-    live::LiveStudyOptions options;
-    options.study = study_options();
-    options.threads = threads;
-    options.bucket_seconds = kEpochSeconds;  // one bucket per epoch
-    options.window_buckets = 2;
-    live::LiveStudy study(engine(), eco().abp_registry(), options);
-    EXPECT_EQ(study.shard_count(), threads);
+    // One bucket per epoch; the store keeps two.
+    Fed fed(live_options(threads, kEpochSeconds), /*retention_buckets=*/2);
+    EXPECT_EQ(fed.study.shard_count(), threads);
 
-    study.on_meta(wide_meta());
-    for (std::uint64_t k = 0; k < kEpochs; ++k) feed_epoch(study, k);
+    fed.study.on_meta(wide_meta());
+    for (std::uint64_t k = 0; k < kEpochs; ++k) feed_epoch(fed.study, k);
 
-    // Watermark is now in bucket 2; the 2-bucket window retires epoch 0.
-    EXPECT_EQ(study.current_bucket(), 2u);
-    study.maintain();
-    study.seal_all();
-    study.flush();
-    EXPECT_GE(study.buckets_evicted(), 1u);
-    EXPECT_EQ(study.late_drops(), 0u);
-    EXPECT_EQ(study.records_ingested(), kEpochs * epoch_records());
+    // Watermark is now in bucket 2; maintain() seals epoch 0.
+    EXPECT_EQ(fed.study.current_bucket(), 2u);
+    fed.study.maintain();
+    fed.study.seal_all();
+    fed.study.flush();
+    // Every sealed bucket was handed over and freed; the store's
+    // retention retired epoch 0.
+    EXPECT_EQ(fed.study.bucket_count(), 0u);
+    EXPECT_GE(fed.tree().buckets_evicted(), 1u);
+    EXPECT_EQ(fed.study.late_drops(), 0u);
+    EXPECT_EQ(fed.study.records_ingested(), kEpochs * epoch_records());
 
-    const auto snapshot = study.snapshot();
-    EXPECT_EQ(snapshot.first_bucket(), 1u);
-    EXPECT_EQ(snapshot.last_bucket(), 2u);
-    EXPECT_EQ(report_of(snapshot.view()), serial_report)
+    const auto merged = fed.merged();
+    EXPECT_EQ(merged.buckets_merged(), 2u);
+    EXPECT_EQ(merged.first_bucket(), 1u);
+    EXPECT_EQ(merged.last_bucket(), 2u);
+    EXPECT_EQ(report_of(merged.view()), serial_report)
         << "surviving-window report diverged at " << threads << " threads";
-    study.close();
   }
 }
 
 TEST_F(LiveStudyTest, SnapshotMergesOnlySealedBuckets) {
-  live::LiveStudyOptions options;
-  options.study = study_options();
-  options.threads = 2;
-  options.bucket_seconds = kEpochSeconds;
-  live::LiveStudy study(engine(), eco().abp_registry(), options);
-  study.on_meta(wide_meta());
-  feed_epoch(study, 0);
-  study.flush();
+  Fed fed(live_options(2, kEpochSeconds));
+  fed.study.on_meta(wide_meta());
+  feed_epoch(fed.study, 0);
+  fed.study.flush();
 
-  // Nothing is sealed yet: the snapshot is empty (but counts ingest).
-  const auto before = study.snapshot();
+  // Nothing is sealed yet: the buckets are open, the store is empty.
+  EXPECT_EQ(fed.study.records_ingested(), epoch_records());
+  EXPECT_EQ(fed.study.bucket_count(), 2u);  // one per shard
+  EXPECT_EQ(fed.tree().leaf_count(), 0u);
+  const auto before = fed.merged();
   EXPECT_EQ(before.buckets_merged(), 0u);
-  EXPECT_EQ(before.records_ingested, epoch_records());
   EXPECT_EQ(before.view().traffic->requests(), 0u);
 
-  study.seal_all();
-  study.flush();
-  const auto after = study.snapshot();
-  EXPECT_EQ(after.buckets_merged(), 2u);  // one per shard
+  fed.study.seal_all();
+  fed.study.flush();
+  EXPECT_EQ(fed.study.bucket_count(), 0u);
+  EXPECT_EQ(fed.study.buckets_sealed(), 2u);
+  EXPECT_EQ(fed.tree().leaf_count(), 2u);
+  const auto after = fed.merged();
+  EXPECT_EQ(after.buckets_merged(), 1u);  // two shard leaves, one bucket
   EXPECT_EQ(after.view().traffic->requests(), epoch_trace().http().size());
   EXPECT_EQ(after.https_flows(), epoch_trace().tls().size());
-  study.close();
 }
 
 TEST_F(LiveStudyTest, SnapshotWindowSelectsTrailingBuckets) {
-  live::LiveStudyOptions options;
-  options.study = study_options();
-  options.threads = 1;
-  options.bucket_seconds = kEpochSeconds;
-  options.window_buckets = 10;
-  live::LiveStudy study(engine(), eco().abp_registry(), options);
-  study.on_meta(wide_meta());
-  for (std::uint64_t k = 0; k < kEpochs; ++k) feed_epoch(study, k);
-  study.seal_all();
-  study.flush();
+  Fed fed(live_options(1, kEpochSeconds));
+  fed.study.on_meta(wide_meta());
+  for (std::uint64_t k = 0; k < kEpochs; ++k) feed_epoch(fed.study, k);
+  fed.study.seal_all();
+  fed.study.flush();
 
-  const auto trailing = study.snapshot_window(2 * kEpochSeconds);
+  // window_s= covers whole buckets ending at the watermark's bucket.
+  auto trailing = fed.tree().merge(1, 2, std::nullopt);
   EXPECT_EQ(trailing.first_bucket(), 1u);
   EXPECT_EQ(trailing.last_bucket(), 2u);
   EXPECT_EQ(trailing.view().traffic->requests(),
             2 * epoch_trace().http().size());
+  trailing.watermark_ms = fed.study.watermark_ms();
+  trailing.records_ingested = fed.study.records_ingested();
+  trailing.records_dropped = fed.study.total_drops();
+  const auto windowed = fed.store.query(
+      "/query/summary/*?window_s=" + std::to_string(2 * kEpochSeconds));
+  ASSERT_EQ(windowed.status, 200);
+  EXPECT_EQ(windowed.body, store::summary_json(trailing));
 
-  const auto one = study.snapshot(1, 1);
+  const auto one = fed.tree().merge(1, 1, std::nullopt);
   EXPECT_EQ(one.buckets_merged(), 1u);
   EXPECT_EQ(one.view().traffic->requests(), epoch_trace().http().size());
-  study.close();
 }
 
 // ---------------------------------------------------------------------------
-// Drop accounting.
+// Bucket lifecycle: bounded open buckets, late drops.
+
+/// Forwards a time-ordered replay to a LiveStudy and runs the serving
+/// layer's housekeeping whenever the watermark enters a new bucket:
+/// maintain(), then flush() so the seals have landed before the open
+/// buckets are counted.
+class Housekeeping final : public trace::TraceSink {
+ public:
+  explicit Housekeeping(live::LiveStudy& study) : study_(study) {}
+  void on_meta(const trace::TraceMeta& meta) override { study_.on_meta(meta); }
+  void on_http(const trace::HttpTransaction& txn) override {
+    study_.on_http(txn);
+    tick();
+  }
+  void on_tls(const trace::TlsFlow& flow) override {
+    study_.on_tls(flow);
+    tick();
+  }
+  /// Most open buckets seen at a housekeeping point.
+  std::size_t max_open = 0;
+  std::size_t housekeeping_points = 0;
+
+ private:
+  void tick() {
+    const auto bucket = study_.current_bucket();
+    if (bucket == last_bucket_) return;
+    last_bucket_ = bucket;
+    study_.maintain();
+    study_.flush();
+    max_open = std::max(max_open, study_.bucket_count());
+    ++housekeeping_points;
+  }
+  live::LiveStudy& study_;
+  std::optional<std::uint64_t> last_bucket_;
+};
+
+TEST_F(LiveStudyTest, OpenBucketsStayBoundedOverAMultiHourReplay) {
+  // Three hours in time order: 36 five-minute buckets.
+  trace::MemoryTrace hours;
+  hours.on_meta(wide_meta());
+  for (std::uint64_t k = 0; k < kEpochs; ++k) feed_epoch(hours, k);
+  live::sort_by_time(hours);
+
+  for (const std::size_t threads : {1u, 2u, 7u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    const auto options = live_options(threads, 300);
+    Fed fed(options);
+    Housekeeping feed(fed.study);
+    live::replay_time_ordered(hours, feed);
+    EXPECT_GE(feed.housekeeping_points, 36u);
+    EXPECT_LE(feed.max_open, threads * (options.seal_lag_buckets + 1));
+
+    fed.study.seal_all();
+    fed.study.flush();
+    EXPECT_EQ(fed.study.bucket_count(), 0u);
+    EXPECT_EQ(fed.study.late_drops(), 0u);
+    EXPECT_EQ(fed.tree().bucket_count(), 36u);
+    EXPECT_EQ(fed.merged().view().traffic->requests(), hours.http().size());
+  }
+}
 
 TEST_F(LiveStudyTest, LateRecordsAreDroppedAndCounted) {
-  live::LiveStudyOptions options;
-  options.study = study_options();
-  options.bucket_seconds = 60;
+  auto options = live_options(1, 60);
   options.seal_lag_buckets = 0;  // seal aggressively right behind the watermark
-  live::LiveStudy study(engine(), eco().abp_registry(), options);
-  study.on_meta(wide_meta());
+  Fed fed(options);
+  fed.study.on_meta(wide_meta());
 
   trace::HttpTransaction txn = epoch_trace().http().front();
   txn.timestamp_ms = 130'000;  // bucket 2
-  study.on_http(txn);
-  study.maintain();  // seals buckets 0 and 1
-  study.flush();
+  fed.study.on_http(txn);
+  fed.study.maintain();  // seals buckets 0 and 1
+  fed.study.flush();
 
   txn.timestamp_ms = 30'000;  // bucket 0 — already sealed
-  study.on_http(txn);
-  study.flush();
-  EXPECT_EQ(study.late_drops(), 1u);
-  EXPECT_EQ(study.records_ingested(), 2u);
+  fed.study.on_http(txn);
+  fed.study.flush();
+  EXPECT_EQ(fed.study.late_drops(), 1u);
+  EXPECT_EQ(fed.study.records_ingested(), 2u);
 
-  study.seal_all();
-  study.flush();
-  EXPECT_EQ(study.snapshot().view().traffic->requests(), 1u);
-  study.close();
+  fed.study.seal_all();
+  fed.study.flush();
+  EXPECT_EQ(fed.merged().view().traffic->requests(), 1u);
+}
+
+TEST_F(LiveStudyTest, SealAllMovesTheFloorPastTheHighestSealedBucket) {
+  Fed fed(live_options(1, 60));
+  fed.study.on_meta(wide_meta());
+
+  trace::HttpTransaction txn = epoch_trace().http().front();
+  txn.timestamp_ms = 130'000;  // bucket 2
+  fed.study.on_http(txn);
+  fed.study.seal_all();
+  fed.study.flush();
+  EXPECT_EQ(fed.tree().leaf_count(), 1u);
+
+  // Bucket 2 was sealed and freed: a straggler for it, or for an older
+  // bucket that never opened, must not open a fresh bucket.
+  txn.timestamp_ms = 150'000;  // bucket 2
+  fed.study.on_http(txn);
+  txn.timestamp_ms = 70'000;  // bucket 1
+  fed.study.on_http(txn);
+  fed.study.flush();
+  EXPECT_EQ(fed.study.late_drops(), 2u);
+  EXPECT_EQ(fed.study.bucket_count(), 0u);
+
+  // A newer bucket still opens and seals once.
+  txn.timestamp_ms = 190'000;  // bucket 3
+  fed.study.on_http(txn);
+  fed.study.flush();
+  EXPECT_EQ(fed.study.bucket_count(), 1u);
+  fed.study.seal_all();
+  fed.study.flush();
+  EXPECT_EQ(fed.study.late_drops(), 2u);
+  EXPECT_EQ(fed.study.buckets_sealed(), 2u);
+  EXPECT_EQ(fed.tree().leaf_count(), 2u);
+  EXPECT_EQ(fed.merged().view().traffic->requests(), 2u);
 }
 
 TEST_F(LiveStudyTest, SealLagKeepsRecentBucketsOpenForStragglers) {
-  live::LiveStudyOptions options;
-  options.study = study_options();
-  options.bucket_seconds = 60;
+  auto options = live_options(1, 60);
   options.seal_lag_buckets = 1;
-  live::LiveStudy study(engine(), eco().abp_registry(), options);
-  study.on_meta(wide_meta());
+  Fed fed(options);
+  fed.study.on_meta(wide_meta());
 
   trace::HttpTransaction txn = epoch_trace().http().front();
   txn.timestamp_ms = 130'000;  // bucket 2
-  study.on_http(txn);
-  study.maintain();  // seals only bucket 0
-  study.flush();
+  fed.study.on_http(txn);
+  fed.study.maintain();  // seals only bucket 0
+  fed.study.flush();
 
   txn.timestamp_ms = 70'000;  // bucket 1 — still open thanks to the lag
-  study.on_http(txn);
-  study.seal_all();
-  study.flush();
-  EXPECT_EQ(study.late_drops(), 0u);
-  EXPECT_EQ(study.snapshot().view().traffic->requests(), 2u);
-  study.close();
+  fed.study.on_http(txn);
+  fed.study.seal_all();
+  fed.study.flush();
+  EXPECT_EQ(fed.study.late_drops(), 0u);
+  EXPECT_EQ(fed.merged().view().traffic->requests(), 2u);
 }
 
 TEST_F(LiveStudyTest, PreMetaRecordsAreDroppedAndCounted) {
@@ -451,14 +595,16 @@ TEST_F(LiveStudyTest, PreMetaRecordsAreDroppedAndCounted) {
 }
 
 TEST_F(LiveStudyTest, FirstMetaWinsLaterMetasCounted) {
-  live::LiveStudy study(engine(), eco().abp_registry());
+  Fed fed(live_options(1, kEpochSeconds));
   auto meta = wide_meta();
-  study.on_meta(meta);
+  fed.study.on_meta(meta);
   meta.name = "impostor";
-  study.on_meta(meta);
-  EXPECT_EQ(study.metas_ignored(), 1u);
-  EXPECT_EQ(study.snapshot().meta().name, wide_meta().name);
-  study.close();
+  fed.study.on_meta(meta);
+  EXPECT_EQ(fed.study.metas_ignored(), 1u);
+  fed.study.on_http(epoch_trace().http().front());
+  fed.study.seal_all();
+  fed.study.flush();
+  EXPECT_EQ(fed.merged().meta().name, wide_meta().name);
 }
 
 TEST_F(LiveStudyTest, RecordsAfterCloseAreDroppedAndCounted) {
@@ -467,8 +613,8 @@ TEST_F(LiveStudyTest, RecordsAfterCloseAreDroppedAndCounted) {
   study.close();
   study.on_http(epoch_trace().http().front());
   EXPECT_EQ(study.closed_drops(), 1u);
-  // The study stays queryable after close().
-  EXPECT_EQ(study.snapshot().records_dropped, 1u);
+  // The counters stay readable after close().
+  EXPECT_EQ(study.total_drops(), 1u);
 }
 
 TEST_F(LiveStudyTest, FlushDrainsTheQueues) {
@@ -488,16 +634,12 @@ TEST_F(LiveStudyTest, FlushDrainsTheQueues) {
 // identity tests above and the server end-to-end test).
 
 TEST_F(LiveStudyTest, SummaryJsonCarriesTheHeadlineNumbers) {
-  live::LiveStudyOptions options;
-  options.study = study_options();
-  options.bucket_seconds = kEpochSeconds;
-  live::LiveStudy study(engine(), eco().abp_registry(), options);
-  study.on_meta(wide_meta());
-  feed_epoch(study, 0);
-  study.seal_all();
-  study.flush();
-  const auto snapshot = study.snapshot();
-  const auto json = store::summary_json(snapshot);
+  Fed fed(live_options(1, kEpochSeconds));
+  fed.study.on_meta(wide_meta());
+  feed_epoch(fed.study, 0);
+  fed.study.seal_all();
+  fed.study.flush();
+  const auto json = fed.store.query("/query/summary/*").body;
   EXPECT_NE(json.find("\"trace\":{\"name\":\"RBN-2\""), std::string::npos);
   EXPECT_NE(json.find("\"requests\":" +
                       std::to_string(epoch_trace().http().size())),
@@ -509,13 +651,13 @@ TEST_F(LiveStudyTest, SummaryJsonCarriesTheHeadlineNumbers) {
 
   // The other documents render without structural errors and share the
   // window header.
-  for (const auto& document :
-       {store::traffic_json(snapshot), store::users_json(snapshot),
-        store::infra_json(snapshot, &eco().asn_db())}) {
-    EXPECT_NE(document.find("\"window\":{\"bucket_seconds\":3600"),
+  for (const char* target :
+       {"/query/traffic/*", "/query/users/*", "/query/infra/*"}) {
+    const auto document = fed.store.query(target);
+    ASSERT_EQ(document.status, 200) << target;
+    EXPECT_NE(document.body.find("\"window\":{\"bucket_seconds\":3600"),
               std::string::npos);
   }
-  study.close();
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -112,7 +113,6 @@ class QueryApiTest : public ::testing::Test {
       options.study = study_options();
       options.threads = threads;
       options.bucket_seconds = 300;
-      options.window_buckets = UINT64_MAX;
       options.on_seal = [this](std::uint64_t bucket_id, std::size_t shard,
                                const core::TraceStudy& sealed) {
         store.tree().ingest(bucket_id, shard, sealed);
@@ -196,11 +196,20 @@ TEST_F(QueryApiTest, QueryMatchesLegacyByteForByteAcrossThreadCounts) {
     EXPECT_GE(cached.store.cache_counters().hits, 1u);
     EXPECT_EQ(uncached.store.cache_counters().entries, 0u);
 
-    // The store's bodies are the live ring's snapshot, rendered.
+    // The bodies are the store's leaves merged and rendered: all of
+    // them, and the 4 whole 300 s buckets ending at the watermark's.
+    const auto stamped = [&](std::uint64_t min_bucket) {
+      auto snapshot =
+          cached.store.tree().merge(min_bucket, UINT64_MAX, std::nullopt);
+      snapshot.watermark_ms = cached.study.watermark_ms();
+      snapshot.records_ingested = cached.study.records_ingested();
+      snapshot.records_dropped = cached.study.total_drops();
+      return snapshot;
+    };
     EXPECT_EQ(cached.get("/study/summary").body,
-              store::summary_json(cached.study.snapshot()));
+              store::summary_json(stamped(0)));
     EXPECT_EQ(cached.get("/study/users?window_s=1200").body,
-              store::users_json(cached.study.snapshot_window(1200)));
+              store::users_json(stamped(cached.study.current_bucket() - 3)));
   }
 }
 

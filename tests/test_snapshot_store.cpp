@@ -2,13 +2,15 @@
 // (valid, invalid, and fuzz-shaped inputs), UTC calendar helpers, the
 // field-selective JSON filter, the sharded LRU response cache, and the
 // SnapshotTree itself: merges over tree leaves must render byte-
-// identically to LiveStudy::snapshot() over the same sealed buckets
-// (the merge laws in action), materialized rollups must equal on-demand
-// merges, and retention must bound memory during a long replay.
+// identically to the same sealed studies absorbed directly in the
+// LiveStudy seal hook (the merge laws in action), materialized rollups
+// must equal on-demand merges, and retention must bound memory during a
+// long replay.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -344,7 +346,7 @@ TEST(ResponseCache, ClearDropsEntriesKeepsCounters) {
 }
 
 // ---------------------------------------------------------------------------
-// SnapshotTree against a real LiveStudy
+// SnapshotTree fed by a real LiveStudy
 
 class SnapshotTreeTest : public ::testing::Test {
  protected:
@@ -385,39 +387,67 @@ class SnapshotTreeTest : public ::testing::Test {
     return options;
   }
 
+  /// The middle slice of buckets the sub-range checks use.
+  static constexpr std::uint64_t kSliceMin = 3;
+  static constexpr std::uint64_t kSliceMax = 9;
+
   struct FedStore {
     store::SnapshotTree tree;
     std::uint64_t watermark_ms = 0;
     std::uint64_t ingested = 0;
     std::uint64_t dropped = 0;
+    /// The reference the tree is checked against: the same sealed
+    /// studies absorbed directly in the seal hook — every bucket, and
+    /// buckets [kSliceMin, kSliceMax].
+    std::optional<core::StudySnapshot> whole;
+    std::optional<core::StudySnapshot> slice;
 
     explicit FedStore(store::SnapshotTreeOptions options) : tree(options) {}
+
+    void on_seal(std::uint64_t bucket_id, std::size_t shard,
+                 const core::TraceStudy& sealed) {
+      tree.ingest(bucket_id, shard, sealed);
+      std::lock_guard lock(mutex);  // shard workers seal concurrently
+      absorb(whole, bucket_id, sealed);
+      if (bucket_id >= kSliceMin && bucket_id <= kSliceMax) {
+        absorb(slice, bucket_id, sealed);
+      }
+    }
+
+   private:
+    static void absorb(std::optional<core::StudySnapshot>& into,
+                       std::uint64_t bucket_id,
+                       const core::TraceStudy& sealed) {
+      if (!into.has_value()) {
+        into.emplace(sealed.meta(), study_options());
+        into->bucket_seconds = 300;
+      }
+      into->absorb(sealed);
+      into->note_bucket(bucket_id);
+    }
+    std::mutex mutex;
   };
 
   /// Replays the sample trace through a LiveStudy whose seal hook feeds
-  /// `tree`, with `threads` shards and 300 s buckets. Returns the study
-  /// alive (closed) so callers can compare snapshots.
-  static std::unique_ptr<live::LiveStudy> feed(FedStore& fed,
-                                               std::size_t threads) {
+  /// `fed`, with `threads` shards and 300 s buckets, then seals
+  /// everything and closes the study.
+  static void feed(FedStore& fed, std::size_t threads) {
     live::LiveStudyOptions options;
     options.study = study_options();
     options.threads = threads;
     options.bucket_seconds = 300;
-    options.window_buckets = UINT64_MAX;
     options.on_seal = [&fed](std::uint64_t bucket_id, std::size_t shard,
                              const core::TraceStudy& sealed) {
-      fed.tree.ingest(bucket_id, shard, sealed);
+      fed.on_seal(bucket_id, shard, sealed);
     };
-    auto study = std::make_unique<live::LiveStudy>(engine(),
-                                                   eco().abp_registry(),
-                                                   options);
-    sample_trace().replay(*study);
-    study->seal_all();
-    study->flush();
-    fed.watermark_ms = study->watermark_ms();
-    fed.ingested = study->records_ingested();
-    fed.dropped = study->total_drops();
-    return study;
+    live::LiveStudy study(engine(), eco().abp_registry(), options);
+    sample_trace().replay(study);
+    study.seal_all();
+    study.flush();
+    fed.watermark_ms = study.watermark_ms();
+    fed.ingested = study.records_ingested();
+    fed.dropped = study.total_drops();
+    study.close();
   }
 
   static store::SnapshotTreeOptions tree_options() {
@@ -437,11 +467,13 @@ class SnapshotTreeTest : public ::testing::Test {
 TEST_F(SnapshotTreeTest, TreeMergeRendersIdenticallyToLiveSnapshot) {
   for (const std::size_t threads : {1u, 2u, 7u}) {
     FedStore fed(tree_options());
-    auto study = feed(fed, threads);
+    feed(fed, threads);
 
     auto from_tree = fed.tree.merge(0, UINT64_MAX, std::nullopt);
     stamp(from_tree, fed);
-    const auto from_live = study->snapshot();
+    ASSERT_TRUE(fed.whole.has_value());
+    auto& from_live = *fed.whole;
+    stamp(from_live, fed);
 
     EXPECT_EQ(store::summary_json(from_tree), store::summary_json(from_live))
         << threads << " threads";
@@ -449,18 +481,20 @@ TEST_F(SnapshotTreeTest, TreeMergeRendersIdenticallyToLiveSnapshot) {
     EXPECT_EQ(store::users_json(from_tree), store::users_json(from_live));
     EXPECT_EQ(store::infra_json(from_tree, &eco().asn_db(), 10),
               store::infra_json(from_live, &eco().asn_db(), 10));
-    study->close();
   }
 }
 
 TEST_F(SnapshotTreeTest, SubRangeAndShardMergesMatchLive) {
   FedStore fed(tree_options());
-  auto study = feed(fed, 2);
+  feed(fed, 2);
 
   // A middle slice of buckets.
-  auto tree_slice = fed.tree.merge(3, 9, std::nullopt);
+  auto tree_slice = fed.tree.merge(kSliceMin, kSliceMax, std::nullopt);
   stamp(tree_slice, fed);
-  const auto live_slice = study->snapshot(3, 9);
+  ASSERT_TRUE(fed.slice.has_value());
+  auto& live_slice = *fed.slice;
+  stamp(live_slice, fed);
+  EXPECT_EQ(live_slice.buckets_merged(), kSliceMax - kSliceMin + 1);
   EXPECT_EQ(store::summary_json(tree_slice), store::summary_json(live_slice));
   EXPECT_EQ(store::users_json(tree_slice), store::users_json(live_slice));
 
@@ -472,13 +506,11 @@ TEST_F(SnapshotTreeTest, SubRangeAndShardMergesMatchLive) {
         fed.tree.merge(0, UINT64_MAX, shard).buckets_merged());
   }
   EXPECT_EQ(across, all);
-  study->close();
 }
 
 TEST_F(SnapshotTreeTest, MaterializedRollupsEqualOnDemandMerges) {
   FedStore fed(tree_options());
-  auto study = feed(fed, 2);
-  study->close();
+  feed(fed, 2);
 
   const auto days = fed.tree.users_daily_days();
   ASSERT_FALSE(days.empty());
@@ -508,16 +540,18 @@ TEST_F(SnapshotTreeTest, RetentionBoundsTreeDuringLongReplay) {
   auto options = tree_options();
   options.retention_buckets = 5;
   FedStore fed(options);
-  auto study = feed(fed, 2);
-  study->close();
+  feed(fed, 2);
 
   EXPECT_LE(fed.tree.bucket_count(), 5u);
   EXPECT_GT(fed.tree.buckets_evicted(), 0u);
   ASSERT_TRUE(fed.tree.min_bucket().has_value());
   EXPECT_GT(*fed.tree.min_bucket(), 0u);
   // The cumulative rollup ignores retention: it still covers every
-  // sealed leaf ever ingested.
-  EXPECT_EQ(fed.tree.infra_cumulative().buckets_merged(),
+  // bucket ever sealed, each counted once however many shards sealed it.
+  ASSERT_TRUE(fed.whole.has_value());
+  EXPECT_EQ(fed.whole->buckets_merged(), 24u);
+  EXPECT_EQ(fed.tree.infra_cumulative().buckets_merged(), 24u);
+  EXPECT_LT(fed.tree.infra_cumulative().buckets_merged(),
             fed.tree.leaves_ingested());
   // Epoch moved on every mutation.
   EXPECT_GE(fed.tree.epoch(), fed.tree.leaves_ingested());
@@ -533,7 +567,6 @@ TEST_F(SnapshotTreeTest, StoreServiceEndToEnd) {
   live_options.study = study_options();
   live_options.threads = 2;
   live_options.bucket_seconds = 300;
-  live_options.window_buckets = UINT64_MAX;
   live_options.on_seal = [&service](std::uint64_t bucket_id, std::size_t shard,
                                     const core::TraceStudy& sealed) {
     service.tree().ingest(bucket_id, shard, sealed);

@@ -379,7 +379,6 @@ int cmd_query(int argc, char** argv) {
   options.study.inference.min_requests = args.get_u64("active-min", 1000);
   options.threads = args.get_u64("threads", 1);
   options.bucket_seconds = args.get_u64("bucket-s", 300);
-  options.window_buckets = UINT64_MAX;  // offline: keep every bucket
 
   store::StoreServiceOptions store_options;
   store_options.tree.study = options.study;

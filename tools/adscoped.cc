@@ -1,22 +1,25 @@
 // adscoped — live ingest & serving daemon.
 //
 // Accepts .adst byte streams (adscope replay, or anything that writes
-// the wire format from docs/FORMAT.md) on a TCP or Unix socket, keeps a
-// sliding window of time-bucketed study aggregates, and answers HTTP
-// queries:
+// the wire format from docs/FORMAT.md) on a TCP or Unix socket, seals
+// time-bucketed study aggregates into a snapshot store that keeps the
+// trailing --window-s of history, and answers HTTP queries:
 //
 //   adscoped --port 7316 --http-port 7317 --bucket-s 300 --window-s 86400
 //   curl localhost:7317/study/summary
 //   curl localhost:7317/metrics
 //
 // SIGINT/SIGTERM triggers a graceful shutdown: stop accepting, drain
-// the shard queues, seal every bucket, write a final snapshot JSON to
-// --snapshot-out, then exit. No accepted record is lost.
+// the shard queues, seal every bucket, write the store's final
+// /query/summary/* body to --snapshot-out, then exit. No accepted record
+// is lost.
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "live/http_endpoint.h"
@@ -25,7 +28,6 @@
 #include "sim/ecosystem.h"
 #include "sim/listgen.h"
 #include "store/store_service.h"
-#include "store/study_json.h"
 #include "util/cli_args.h"
 #include "util/net_backend.h"
 
@@ -39,28 +41,38 @@ void handle_stop_signal(int) { g_stop = 1; }
 
 using cli::Args;
 
-void usage() {
-  std::fputs(
-      "usage: adscoped [options]\n"
-      "  --port N          ingest TCP port (default 7316; 0 = ephemeral)\n"
-      "  --unix PATH       ingest Unix socket instead of TCP\n"
-      "  --http-port N     query/metrics port (default 7317; 0 = ephemeral)\n"
-      "  --bucket-s N      aggregation bucket width, seconds (default 300)\n"
-      "  --window-s N      sliding window span, seconds (default 86400)\n"
-      "  --threads N       analysis shards (default 1; 0 = hw threads)\n"
-      "  --active-min N    active-browser request threshold (default 1000)\n"
-      "  --seed S          filter-list world seed — must match the trace\n"
-      "                    producer's (default 42)\n"
-      "  --snapshot-out F  final snapshot JSON on shutdown\n"
-      "                    (default adscoped_snapshot.json, \"\" = skip)\n"
-      "  --store-retention N  snapshot-store history span, seconds\n"
-      "                    (default: the --window-s span; 0 = unbounded)\n"
-      "  --store-cache-mb N  query response cache budget, MiB\n"
-      "                    (default 8, 0 disables caching)\n"
-      "  --net B           network backend: uring|epoll|threads|auto\n"
-      "                    (default auto; ADSCOPE_NET clamps)\n"
-      "  --public          listen on all interfaces, not just loopback\n",
-      stderr);
+constexpr std::string_view kUsage =
+    "usage: adscoped [options]\n"
+    "  --port N          ingest TCP port (default 7316; 0 = ephemeral)\n"
+    "  --unix PATH       ingest Unix socket instead of TCP\n"
+    "  --http-port N     query/metrics port (default 7317; 0 = ephemeral)\n"
+    "  --bucket-s N      aggregation bucket width, seconds (default 300)\n"
+    "  --window-s N      served history span, seconds: the snapshot store\n"
+    "                    keeps this many seconds of sealed buckets\n"
+    "                    (default 86400; 0 = unbounded)\n"
+    "  --threads N       analysis shards (default 1; 0 = hw threads)\n"
+    "  --active-min N    active-browser request threshold (default 1000)\n"
+    "  --seed S          filter-list world seed — must match the trace\n"
+    "                    producer's (default 42)\n"
+    "  --snapshot-out F  final /query/summary/* body on shutdown\n"
+    "                    (default adscoped_snapshot.json, \"\" = skip)\n"
+    "  --store-cache-mb N  query response cache budget, MiB\n"
+    "                    (default 8, 0 disables caching)\n"
+    "  --net B           network backend: uring|epoll|threads|auto\n"
+    "                    (default auto; ADSCOPE_NET clamps)\n"
+    "  --public          listen on all interfaces, not just loopback\n"
+    "  --help            print this message\n";
+
+/// The first parsed option that kUsage does not list, if any.
+std::optional<std::string> unknown_option(const Args& args) {
+  for (const auto& [key, value] : args.named) {
+    const auto line = "\n  --" + key;
+    if (kUsage.find(line + ' ') == std::string_view::npos &&
+        kUsage.find(line + '\n') == std::string_view::npos) {
+      return key;
+    }
+  }
+  return std::nullopt;
 }
 
 int run(const Args& args) {
@@ -78,21 +90,18 @@ int run(const Args& args) {
   live::LiveStudyOptions options;
   options.study.inference.min_requests = args.get_u64("active-min", 1000);
   options.threads = args.get_u64("threads", 1);
-  options.bucket_seconds = args.get_u64("bucket-s", 300);
-  const auto window_s = args.get_u64("window-s", 86400);
-  options.window_buckets =
-      (window_s + options.bucket_seconds - 1) / options.bucket_seconds;
+  options.bucket_seconds =
+      std::max<std::uint64_t>(args.get_u64("bucket-s", 300), 1);
 
-  // Snapshot store: owns sealed-study copies, so it must outlive the
-  // LiveStudy whose workers feed it through on_seal.
+  // Snapshot store: the only holder of sealed history (LiveStudy frees
+  // each bucket once on_seal has copied it in), so it must outlive the
+  // LiveStudy whose workers feed it.
   store::StoreServiceOptions store_options;
   store_options.tree.study = options.study;
   store_options.tree.bucket_seconds = options.bucket_seconds;
-  const auto retention_s = args.get_u64("store-retention", window_s);
+  const auto window_s = args.get_u64("window-s", 86400);
   store_options.tree.retention_buckets =
-      retention_s == 0
-          ? 0
-          : (retention_s + options.bucket_seconds - 1) / options.bucket_seconds;
+      (window_s + options.bucket_seconds - 1) / options.bucket_seconds;
   store_options.cache.capacity_bytes =
       static_cast<std::size_t>(args.get_u64("store-cache-mb", 8)) << 20;
   store::StoreService store(store_options, &ecosystem.asn_db());
@@ -149,11 +158,8 @@ int run(const Args& args) {
     std::printf("adscoped: ingest on unix:%s, queries on http://127.0.0.1:%u\n",
                 unix_path.c_str(), endpoint.port());
   }
-  std::printf(
-      "adscoped: %zu shard(s), %llu s buckets, %llu-bucket window\n",
-      study.shard_count(),
-      static_cast<unsigned long long>(study.bucket_seconds()),
-      static_cast<unsigned long long>(study.window_buckets()));
+  std::printf("adscoped: %zu shard(s), %llu s buckets\n", study.shard_count(),
+              static_cast<unsigned long long>(study.bucket_seconds()));
   std::printf("adscoped: net backend %s%s%s\n",
               util::to_string(ingest.backend()),
               ingest.backend_note().empty() ? "" : " — ",
@@ -182,10 +188,9 @@ int run(const Args& args) {
 
   const auto snapshot_out = args.get("snapshot-out", "adscoped_snapshot.json");
   if (!snapshot_out.empty()) {
-    const auto snapshot = study.snapshot();
     std::ofstream out(snapshot_out);
     if (out) {
-      out << store::summary_json(snapshot) << "\n";
+      out << store.query("/query/summary/*").body << "\n";
       std::printf("adscoped: final snapshot -> %s\n", snapshot_out.c_str());
     } else {
       std::fprintf(stderr, "adscoped: cannot write %s\n", snapshot_out.c_str());
@@ -208,8 +213,13 @@ int run(const Args& args) {
 int main(int argc, char** argv) {
   const auto args = cli::parse_args(argc, argv, 1);
   if (args.flag("help")) {
-    usage();
+    std::fputs(kUsage.data(), stderr);
     return 0;
+  }
+  if (const auto unknown = unknown_option(args)) {
+    std::fprintf(stderr, "adscoped: unknown option --%s\n%s", unknown->c_str(),
+                 kUsage.data());
+    return 2;
   }
   try {
     return run(args);
