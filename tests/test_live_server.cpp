@@ -8,6 +8,7 @@
 // counted not fatal, and the HTTP routes answer correctly both
 // in-process and over the wire.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <initializer_list>
@@ -89,7 +90,10 @@ class LiveServerTest : public ::testing::Test {
   /// The sample trace on disk, for the replay client.
   static const std::string& trace_path() {
     static const std::string instance = [] {
-      const auto path = testing::TempDir() + "live_server_sample.adst";
+      // Per process: ctest runs each case in its own process, and a
+      // rewrite under another process's mapping raises SIGBUS there.
+      const auto path = testing::TempDir() + "live_server_sample_" +
+                        std::to_string(::getpid()) + ".adst";
       trace::FileTraceWriter writer(path);
       sample_trace().replay(writer);
       writer.close();
