@@ -111,9 +111,25 @@ def adst_seeds(target):
           header(http_hint=1 << 40, tls_hint=1 << 40) + END)
 
 
+def live_seeds(target):
+    adst_seeds(target)
+    # Out of time order across buckets: the earlier bucket may already
+    # be sealed when its records arrive (late drops).
+    write(target, "late_records.adst",
+          header() + http_record(200000, 1, host=b"ads.example.com")
+          + tls_record(250000) + http_record(1000, 1) + tls_record(2000)
+          + END)
+    # More records than one decoder batch, so batches split mid-stream.
+    many = header() + http_record(1000, 1, host=b"ads.example.com")
+    for i in range(300):
+        many += http_record(1000 + 997 * i, 1, uri=b"/p%d" % i)
+    write(target, "many_records.adst", many + tls_record(400000) + END)
+
+
 def main():
     adst_seeds("stream_decoder")
     adst_seeds("mmap_reader")
+    live_seeds("live_ingest")
 
 
 if __name__ == "__main__":

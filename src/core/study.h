@@ -142,6 +142,10 @@ class TraceStudy final : public trace::TraceSink {
   ConfigurationReport configurations(const InferenceResult& inference) const;
 
   std::uint64_t https_flows() const noexcept { return https_flows_; }
+  /// HTTP transactions fed, malformed ones (no usable Host) included.
+  std::uint64_t http_transactions() const noexcept {
+    return extractor_.transactions();
+  }
   /// HTTP transactions seen before any meta block (the time series then
   /// runs on the fallback duration — observable instead of silent).
   std::uint64_t transactions_before_meta() const noexcept {

@@ -1,6 +1,7 @@
 #include "live/live_study.h"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
 #include "util/hash.h"
@@ -71,38 +72,111 @@ void LiveStudy::on_meta(const trace::TraceMeta& meta) {
   meta_set_.store(true, std::memory_order_release);
 }
 
-void LiveStudy::push_record(std::size_t shard, Record record) {
-  if (!shards_[shard]->queue.push(std::move(record))) {
-    closed_drops_.fetch_add(1, std::memory_order_relaxed);
+bool LiveStudy::accept_records(std::size_t count) {
+  if (!meta_set_.load(std::memory_order_acquire)) {
+    pre_meta_drops_.fetch_add(count, std::memory_order_relaxed);
+    return false;
   }
+  records_ingested_.fetch_add(count, std::memory_order_relaxed);
+  return true;
+}
+
+void LiveStudy::enqueue(std::vector<Batch>& parts,
+                        std::uint64_t max_timestamp_ms) {
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    const auto records = parts[i].http.size() + parts[i].tls.size();
+    if (records == 0) continue;
+    if (!shards_[i]->queue.push(Item{std::move(parts[i])}, records)) {
+      closed_drops_.fetch_add(records, std::memory_order_relaxed);
+    }
+  }
+  // Only now may maintain() see this batch's newest timestamp: a seal it
+  // derives from the watermark then queues behind every record of the
+  // batch, including those of older buckets.
+  note_watermark(max_timestamp_ms);
 }
 
 void LiveStudy::on_http(const trace::HttpTransaction& txn) {
-  if (!meta_set_.load(std::memory_order_acquire)) {
-    pre_meta_drops_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  note_watermark(txn.timestamp_ms);
-  records_ingested_.fetch_add(1, std::memory_order_relaxed);
-  push_record(shard_of(txn.client_ip), Record{txn});
+  const auto view = trace::as_view(txn);
+  on_http_batch({&view, 1});
 }
 
-void LiveStudy::on_tls(const trace::TlsFlow& flow) {
-  if (!meta_set_.load(std::memory_order_acquire)) {
-    pre_meta_drops_.fetch_add(1, std::memory_order_relaxed);
-    return;
+void LiveStudy::on_tls(const trace::TlsFlow& flow) { on_tls_batch({&flow, 1}); }
+
+void LiveStudy::on_http_batch(
+    std::span<const trace::HttpTransactionView> batch) {
+  if (batch.empty() || !accept_records(batch.size())) return;
+  const auto string_bytes = [](const trace::HttpTransactionView& view) {
+    return view.host.size() + view.uri.size() + view.referer.size() +
+           view.user_agent.size() + view.content_type.size() +
+           view.location.size() + view.payload.size();
+  };
+
+  // Size each shard's share, give it one arena for its strings, then
+  // copy every view's strings in and re-point the view at the copies.
+  struct Share {
+    std::size_t records = 0;
+    std::size_t bytes = 0;
+    char* next = nullptr;
+  };
+  std::vector<Share> shares(shards_.size());
+  std::uint64_t max_timestamp_ms = 0;
+  for (const auto& view : batch) {
+    auto& share = shares[shard_of(view.client_ip)];
+    ++share.records;
+    share.bytes += string_bytes(view);
+    max_timestamp_ms = std::max(max_timestamp_ms, view.timestamp_ms);
   }
-  note_watermark(flow.timestamp_ms);
-  records_ingested_.fetch_add(1, std::memory_order_relaxed);
-  push_record(shard_of(flow.client_ip), Record{flow});
+  std::vector<Batch> parts(shards_.size());
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    if (shares[i].records == 0) continue;
+    parts[i].http.reserve(shares[i].records);
+    if (shares[i].bytes == 0) continue;
+    parts[i].arena = std::make_unique_for_overwrite<char[]>(shares[i].bytes);
+    shares[i].next = parts[i].arena.get();
+  }
+  for (const auto& view : batch) {
+    const auto shard = shard_of(view.client_ip);
+    char*& next = shares[shard].next;
+    const auto copy = [&next](std::string_view text) {
+      if (text.empty()) return std::string_view{};
+      std::memcpy(next, text.data(), text.size());
+      const std::string_view copied(next, text.size());
+      next += text.size();
+      return copied;
+    };
+    auto& owned = parts[shard].http.emplace_back(view);
+    owned.host = copy(view.host);
+    owned.uri = copy(view.uri);
+    owned.referer = copy(view.referer);
+    owned.user_agent = copy(view.user_agent);
+    owned.content_type = copy(view.content_type);
+    owned.location = copy(view.location);
+    owned.payload = copy(view.payload);
+  }
+  enqueue(parts, max_timestamp_ms);
 }
 
-void LiveStudy::broadcast(Record record) {
-  for (std::size_t i = 0; i < shards_.size(); ++i) push_record(i, record);
+void LiveStudy::on_tls_batch(std::span<const trace::TlsFlowView> batch) {
+  if (batch.empty() || !accept_records(batch.size())) return;
+  std::vector<std::size_t> counts(shards_.size(), 0);
+  std::uint64_t max_timestamp_ms = 0;
+  for (const auto& flow : batch) {
+    ++counts[shard_of(flow.client_ip)];
+    max_timestamp_ms = std::max(max_timestamp_ms, flow.timestamp_ms);
+  }
+  std::vector<Batch> parts(shards_.size());
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    parts[i].tls.reserve(counts[i]);
+  }
+  for (const auto& flow : batch) {
+    parts[shard_of(flow.client_ip)].tls.push_back(flow);
+  }
+  enqueue(parts, max_timestamp_ms);
 }
 
 void LiveStudy::seal_before(std::uint64_t bucket) {
-  broadcast(Record{SealBefore{bucket}});
+  for (auto& shard : shards_) shard->queue.push(Item{SealBefore{bucket}});
 }
 
 void LiveStudy::maintain() {
@@ -123,7 +197,7 @@ void LiveStudy::flush() {
       util::MutexLock lock(barrier->mutex);
       ++barrier->remaining;
     }
-    if (shard->queue.push(Record{barrier})) {
+    if (shard->queue.push(Item{barrier})) {
       ++expected;
     } else {
       util::MutexLock lock(barrier->mutex);
@@ -136,16 +210,14 @@ void LiveStudy::flush() {
 }
 
 void LiveStudy::worker_loop(Shard& shard) {
-  Record record;
-  while (shard.queue.pop(record)) {
-    if (auto* txn = std::get_if<trace::HttpTransaction>(&record)) {
-      process(shard, txn->timestamp_ms, txn, nullptr);
-    } else if (auto* flow = std::get_if<trace::TlsFlow>(&record)) {
-      process(shard, flow->timestamp_ms, nullptr, flow);
-    } else if (auto* seal_op = std::get_if<SealBefore>(&record)) {
+  Item item;
+  while (shard.queue.pop(item)) {
+    if (const auto* batch = std::get_if<Batch>(&item)) {
+      process(shard, *batch);
+    } else if (const auto* seal_op = std::get_if<SealBefore>(&item)) {
       seal(shard, seal_op->bucket);
     } else {
-      auto& barrier = *std::get<std::shared_ptr<FlushBarrier>>(record);
+      auto& barrier = *std::get<std::shared_ptr<FlushBarrier>>(item);
       {
         util::MutexLock lock(barrier.mutex);
         --barrier.remaining;
@@ -157,13 +229,28 @@ void LiveStudy::worker_loop(Shard& shard) {
   // study (the daemon seals before it closes).
 }
 
-void LiveStudy::process(Shard& shard, std::uint64_t timestamp_ms,
-                        const trace::HttpTransaction* txn,
-                        const trace::TlsFlow* flow) {
+void LiveStudy::process(Shard& shard, const Batch& batch) {
+  for (const auto& view : batch.http) {
+    if (auto* study = bucket_for(shard, view.timestamp_ms)) {
+      trace::materialize(view, shard.scratch);
+      study->on_http(shard.scratch);
+    }
+  }
+  for (const auto& flow : batch.tls) {
+    if (auto* study = bucket_for(shard, flow.timestamp_ms)) study->on_tls(flow);
+  }
+}
+
+core::TraceStudy* LiveStudy::bucket_for(Shard& shard,
+                                        std::uint64_t timestamp_ms) {
   const auto bucket_id = bucket_of_ms(timestamp_ms);
+  // The cached bucket is open: seal() clears the cache.
+  if (shard.last_study != nullptr && bucket_id == shard.last_id) {
+    return shard.last_study;
+  }
   if (bucket_id < shard.floor) {
     late_drops_.fetch_add(1, std::memory_order_relaxed);
-    return;
+    return nullptr;
   }
   auto it = shard.buckets.find(bucket_id);
   if (it == shard.buckets.end()) {
@@ -178,14 +265,13 @@ void LiveStudy::process(Shard& shard, std::uint64_t timestamp_ms,
     it = shard.buckets.emplace(bucket_id, std::move(study)).first;
     open_buckets_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (txn != nullptr) {
-    it->second->on_http(*txn);
-  } else {
-    it->second->on_tls(*flow);
-  }
+  shard.last_id = bucket_id;
+  shard.last_study = it->second.get();
+  return shard.last_study;
 }
 
 void LiveStudy::seal(Shard& shard, std::uint64_t before) {
+  shard.last_study = nullptr;
   auto it = shard.buckets.begin();
   while (it != shard.buckets.end() && it->first < before) {
     auto& [id, study] = *it;

@@ -5,23 +5,35 @@
 // is happening now" while records are still arriving. It reuses the same
 // machinery end to end:
 //
-//   ingest threads ──BoundedQueue──▶ shard workers (hash(client_ip))
+//   ingest threads ── split each batch by hash(client_ip) ──▶ one owned
+//   batch per shard (HTTP strings copied once into the batch's arena)
+//        │
+//        └─ one BoundedQueue push per shard per batch ──▶ shard workers
 //                                        │
-//                            open time buckets, one TraceStudy
-//                            per (shard, bucket)
+//                      each view materialized into the shard's scratch
+//                      record, fed to its open time bucket: one
+//                      TraceStudy per (shard, bucket)
 //                                        │
 //                 seal: finish() ──on_seal──▶ snapshot store, then free
 //
+// Records arrive as TraceBatchSink batches (the stream server's decoder,
+// MmapTraceReader::replay_batches) or one at a time through TraceSink;
+// a single record travels as a batch of one. The queues bound queued
+// records: a batch weighs its record count.
+//
 // Bucket lifecycle: a record with timestamp t lands in bucket
-// t / bucket_seconds. When the watermark (max timestamp seen) moves past
-// a bucket by more than the allowed lateness, maintain() seals it: the
-// shard worker finish()es its TraceStudy, hands it to on_seal and frees
-// it. LiveStudy holds only open buckets (at most seal_lag_buckets + 1
-// per shard on time-ordered input); sealed history lives in exactly one
-// place, the store on_seal feeds (store::SnapshotTree), under that
+// t / bucket_seconds. When the watermark (max timestamp enqueued) moves
+// past a bucket by more than the allowed lateness, maintain() seals it:
+// the shard worker finish()es its TraceStudy, hands it to on_seal and
+// frees it. LiveStudy holds only open buckets (at most seal_lag_buckets
+// + 1 per shard on time-ordered input); sealed history lives in exactly
+// one place, the store on_seal feeds (store::SnapshotTree), under that
 // store's retention. Records for buckets at or below the highest sealed
 // id are dropped and counted (late_drops) instead of reopening a bucket
-// whose study was already handed off.
+// whose study was already handed off. The watermark moves only after a
+// batch is in its queues, so a seal that maintain() derives from it
+// queues behind every record of that batch: a time-ordered feed loses
+// no record to a concurrent maintain().
 //
 // Identity invariant (tests/test_live_study.cpp): when no per-user
 // activity spans a bucket boundary, a store fed by on_seal renders the
@@ -30,10 +42,13 @@
 // classifier's referrer/redirect context restarts per bucket, exactly as
 // the PR-1 shard caps do per shard.
 //
-// Thread safety: on_meta/on_http/on_tls may be called from any number of
-// ingest threads; seals travel through the same queues as data, so they
-// apply in order. Each shard's buckets belong to its worker thread
-// alone; the observability counters are atomics.
+// Thread safety: on_meta, on_http/on_tls and on_http_batch/on_tls_batch
+// may be called from any number of ingest threads; a batch's views need
+// to live only until the call returns (the split copies them out).
+// Seals and flushes travel through the same queues as data, so they
+// apply in order. Each shard's buckets, bucket cache and scratch record
+// belong to its worker thread alone; the observability counters are
+// atomics.
 #pragma once
 
 #include <atomic>
@@ -42,10 +57,12 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <span>
 #include <variant>
 #include <vector>
 
 #include "core/study.h"
+#include "trace/view.h"
 #include "util/annotations.h"
 #include "util/bounded_queue.h"
 #include "util/thread_pool.h"
@@ -57,7 +74,9 @@ struct LiveStudyOptions {
   core::StudyOptions study;
   /// Shard (= worker) count; 0 picks the hardware concurrency.
   std::size_t threads = 1;
-  /// Records buffered per shard before ingest threads block.
+  /// Records buffered per shard before ingest threads block. A batch
+  /// counts as its record count; one larger than this still enters an
+  /// empty queue.
   std::size_t queue_capacity = 4096;
   /// Width of one time bucket: the resolution of the sealed history
   /// the store serves.
@@ -83,7 +102,8 @@ struct LiveStudyOptions {
       on_seal;
 };
 
-class LiveStudy final : public trace::TraceSink {
+class LiveStudy final : public trace::TraceSink,
+                        public trace::TraceBatchSink {
  public:
   static constexpr std::uint64_t kAllBuckets = UINT64_MAX;
 
@@ -98,13 +118,18 @@ class LiveStudy final : public trace::TraceSink {
   LiveStudy(const LiveStudy&) = delete;
   LiveStudy& operator=(const LiveStudy&) = delete;
 
-  // TraceSink — safe from any thread. The first meta wins and fixes the
-  // aggregate shapes; later metas are counted and ignored. Data records
-  // arriving before any meta are dropped (the wire protocol makes this
-  // structurally impossible: every stream starts with its meta block).
+  // TraceSink and TraceBatchSink — safe from any thread. The first meta
+  // wins and fixes the aggregate shapes; later metas are counted and
+  // ignored. Data records arriving before any meta are dropped (the wire
+  // protocol makes this structurally impossible: every stream starts
+  // with its meta block). A batch is split by shard and each shard's
+  // share is queued as one item; a single record is a batch of one.
   void on_meta(const trace::TraceMeta& meta) override;
   void on_http(const trace::HttpTransaction& txn) override;
   void on_tls(const trace::TlsFlow& flow) override;
+  void on_http_batch(
+      std::span<const trace::HttpTransactionView> batch) override;
+  void on_tls_batch(std::span<const trace::TlsFlowView> batch) override;
 
   /// Seal every bucket with id < `bucket`: each study is finished,
   /// handed to on_seal and freed. Later records for ids below `bucket`
@@ -134,7 +159,7 @@ class LiveStudy final : public trace::TraceSink {
   std::uint64_t bucket_seconds() const noexcept {
     return options_.bucket_seconds;
   }
-  /// Highest record timestamp accepted so far (ms; 0 before any record).
+  /// Highest record timestamp enqueued so far (ms; 0 before any record).
   std::uint64_t watermark_ms() const noexcept {
     return watermark_ms_.load(std::memory_order_relaxed);
   }
@@ -171,7 +196,8 @@ class LiveStudy final : public trace::TraceSink {
   std::uint64_t buckets_sealed() const noexcept {
     return buckets_sealed_.load(std::memory_order_relaxed);
   }
-  /// Records currently queued across all shards.
+  /// Records currently queued across all shards (a queued seal or
+  /// flush counts as one).
   std::size_t queue_depth() const;
   /// Open (not yet sealed) buckets across all shards.
   std::size_t bucket_count() const noexcept {
@@ -179,6 +205,15 @@ class LiveStudy final : public trace::TraceSink {
   }
 
  private:
+  /// One shard's share of an ingested batch, in arrival order: HTTP
+  /// views whose strings point into `arena`, or TLS flows. The arena is
+  /// a heap block the batch owns, so moving the batch through the queue
+  /// keeps the views valid.
+  struct Batch {
+    std::vector<trace::HttpTransactionView> http;
+    std::vector<trace::TlsFlow> tls;
+    std::unique_ptr<char[]> arena;
+  };
   struct SealBefore {
     std::uint64_t bucket = 0;
   };
@@ -187,29 +222,34 @@ class LiveStudy final : public trace::TraceSink {
     util::CondVar cv;
     std::size_t remaining ADSCOPE_GUARDED_BY(mutex) = 0;
   };
-  using Record = std::variant<trace::HttpTransaction, trace::TlsFlow, SealBefore,
-                              std::shared_ptr<FlushBarrier>>;
+  using Item = std::variant<Batch, SealBefore, std::shared_ptr<FlushBarrier>>;
 
   struct Shard {
     Shard(std::size_t shard_index, std::size_t queue_capacity)
         : index(shard_index), queue(queue_capacity) {}
     const std::size_t index;
-    util::BoundedQueue<Record> queue;
+    util::BoundedQueue<Item> queue;
     std::future<void> done;
-    // Open buckets and the seal floor belong to the worker thread.
+    // Everything below belongs to the worker thread.
     std::map<std::uint64_t, std::unique_ptr<core::TraceStudy>> buckets;
     // Bucket ids below the floor are sealed.
     std::uint64_t floor = 0;
+    // The last bucket looked up: consecutive records nearly always
+    // share one. seal() clears it.
+    std::uint64_t last_id = 0;
+    core::TraceStudy* last_study = nullptr;
+    // Every HTTP view is materialized here before the study sees it.
+    trace::HttpTransaction scratch;
   };
 
   std::size_t shard_of(netdb::IpV4 client_ip) const noexcept;
+  bool accept_records(std::size_t count);
+  void enqueue(std::vector<Batch>& parts, std::uint64_t max_timestamp_ms);
   void worker_loop(Shard& shard);
-  void process(Shard& shard, std::uint64_t timestamp_ms,
-               const trace::HttpTransaction* txn, const trace::TlsFlow* flow);
+  void process(Shard& shard, const Batch& batch);
+  core::TraceStudy* bucket_for(Shard& shard, std::uint64_t timestamp_ms);
   void seal(Shard& shard, std::uint64_t before);
-  void push_record(std::size_t shard, Record record);
   void note_watermark(std::uint64_t timestamp_ms);
-  void broadcast(Record record);
 
   const adblock::FilterEngine& engine_;
   const netdb::AbpServerRegistry& registry_;

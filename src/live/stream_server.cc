@@ -10,11 +10,13 @@ namespace adscope::live {
 
 /// Per-connection ingest state machine. The reactor serializes the
 /// callbacks for one connection; LiveStudy ingest is thread-safe, so
-/// connections on different loops feed the study concurrently.
+/// connections on different loops feed the study concurrently. The
+/// decoder hands the study batches of views into the received bytes.
 class TraceStreamServer::IngestHandler final : public util::Reactor::Handler {
  public:
   explicit IngestHandler(TraceStreamServer& server)
-      : server_(server), decoder_(server.study_) {}
+      : server_(server),
+        decoder_(static_cast<trace::TraceBatchSink&>(server.study_)) {}
 
   void on_open(util::Reactor::Conn& conn) override {
     const auto active =

@@ -4,12 +4,13 @@
 // Connections are served by a util::Reactor (io_uring, epoll or
 // thread-per-connection — util/net_backend.h picks at runtime, the
 // `net` option or ADSCOPE_NET clamps). Each connection is a small
-// state machine: bytes arrive in on_data, run through a
-// trace::StreamDecoder (which decodes them in place — on the uring
-// backend records go from kernel ring memory to the study without a
-// copy) and land in the study's bounded shard queues, which provide
-// the backpressure: a slow analysis stalls the socket reads instead of
-// growing memory.
+// state machine: bytes arrive in on_data and run through a
+// trace::StreamDecoder, which decodes them in place (on the uring
+// backend, straight out of kernel ring memory) into batches of up to
+// StreamDecoder::kBatchRecords views. The study copies each batch once,
+// into one arena per shard, and queues each shard's share as one item
+// in its bounded shard queue. The queues provide the backpressure: a
+// slow analysis stalls the socket reads instead of growing memory.
 //
 // A clean end-of-stream marker means "this trace is complete": the
 // server seals every bucket and flushes the study, so the HTTP views

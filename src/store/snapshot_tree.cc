@@ -45,12 +45,17 @@ void SnapshotTree::ingest(std::uint64_t bucket_id, std::size_t shard,
     infra_cumulative_.emplace(std::move(rollup));
   }
 
-  buckets_[bucket_id].insert_or_assign(shard, std::move(leaf));
   leaves_ingested_.fetch_add(1, std::memory_order_relaxed);
+  // A slower shard's leaf for a bucket retention already evicted counts
+  // in the rollups only: re-inserting it would evict the bucket twice.
+  if (bucket_id >= eviction_floor_) {
+    buckets_[bucket_id].insert_or_assign(shard, std::move(leaf));
+  }
 
   // Retention: the newest insert pays for evicting the oldest buckets.
   if (options_.retention_buckets > 0) {
     while (buckets_.size() > options_.retention_buckets) {
+      eviction_floor_ = buckets_.begin()->first + 1;
       buckets_.erase(buckets_.begin());
       buckets_evicted_.fetch_add(1, std::memory_order_relaxed);
     }

@@ -49,8 +49,9 @@ struct SnapshotTreeOptions {
   /// Width of one time bucket (same clock as the feeding LiveStudy).
   std::uint64_t bucket_seconds = 300;
   /// Distinct time buckets retained; older buckets (every shard leaf)
-  /// are evicted when a new bucket pushes the count past this. 0 =
-  /// unbounded.
+  /// are evicted when a new bucket pushes the count past this, each
+  /// once: a leaf that arrives for an evicted bucket (a shard sealing
+  /// behind the others) feeds the rollups only. 0 = unbounded.
   std::uint64_t retention_buckets = 0;
 };
 
@@ -100,6 +101,7 @@ class SnapshotTree {
   std::uint64_t leaves_ingested() const noexcept {
     return leaves_ingested_.load(std::memory_order_relaxed);
   }
+  /// Distinct time buckets evicted by retention.
   std::uint64_t buckets_evicted() const noexcept {
     return buckets_evicted_.load(std::memory_order_relaxed);
   }
@@ -137,6 +139,9 @@ class SnapshotTree {
       ADSCOPE_GUARDED_BY(mutex_);
   std::optional<core::StudySnapshot> infra_cumulative_
       ADSCOPE_GUARDED_BY(mutex_);
+  /// Bucket ids below this were evicted; a late leaf for one feeds the
+  /// rollups but never re-enters buckets_.
+  std::uint64_t eviction_floor_ ADSCOPE_GUARDED_BY(mutex_) = 0;
 
   std::atomic<std::uint64_t> epoch_{0};
   std::atomic<std::uint64_t> leaves_ingested_{0};

@@ -4,7 +4,14 @@
 // worker: an ingest thread blocks in push() when a shard falls behind,
 // so memory stays bounded no matter how long the stream runs. close()
 // releases consumers once the producers are done; pop() then drains the
-// remaining records and finally reports exhaustion.
+// remaining items and finally reports exhaustion.
+//
+// The bound is in units, not items: push() takes the item's weight
+// (default 1), and capacity() bounds the sum of the queued weights.
+// LiveStudy pushes one batch of records per item and weighs it by its
+// record count, so its queue_capacity still bounds queued records. An
+// item heavier than the whole capacity is admitted into an empty queue,
+// so no push waits forever.
 //
 // Locking is expressed through util::Mutex/CondVar so the Clang
 // thread-safety analysis proves every access to the guarded state is
@@ -28,14 +35,18 @@ class BoundedQueue {
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
 
-  /// Blocks while the queue is full (backpressure). Returns false when
-  /// the queue was closed (the item is dropped).
-  bool push(T item) {
+  /// Blocks while `weight` more units would overfill a non-empty queue
+  /// (backpressure). Returns false when the queue was closed (the item
+  /// is dropped).
+  bool push(T item, std::size_t weight = 1) {
     {
       MutexLock lock(mutex_);
-      while (items_.size() >= capacity_ && !closed_) not_full_.wait(mutex_);
+      while (load_ != 0 && load_ + weight > capacity_ && !closed_) {
+        not_full_.wait(mutex_);
+      }
       if (closed_) return false;
-      items_.push_back(std::move(item));
+      items_.emplace_back(std::move(item), weight);
+      load_ += weight;
     }
     not_empty_.notify_one();
     return true;
@@ -48,10 +59,13 @@ class BoundedQueue {
       MutexLock lock(mutex_);
       while (items_.empty() && !closed_) not_empty_.wait(mutex_);
       if (items_.empty()) return false;  // closed and drained
-      out = std::move(items_.front());
+      out = std::move(items_.front().first);
+      load_ -= items_.front().second;
       items_.pop_front();
     }
-    not_full_.notify_one();
+    // Producers wait for different weights: the room one pop frees may
+    // fit a light waiter but not a heavy one, so wake them all.
+    not_full_.notify_all();
     return true;
   }
 
@@ -67,9 +81,10 @@ class BoundedQueue {
 
   std::size_t capacity() const noexcept { return capacity_; }
 
+  /// Units queued: the sum of the weights of the queued items.
   std::size_t size() const {
     MutexLock lock(mutex_);
-    return items_.size();
+    return load_;
   }
 
  private:
@@ -77,7 +92,8 @@ class BoundedQueue {
   mutable Mutex mutex_;
   CondVar not_empty_;
   CondVar not_full_;
-  std::deque<T> items_ ADSCOPE_GUARDED_BY(mutex_);
+  std::deque<std::pair<T, std::size_t>> items_ ADSCOPE_GUARDED_BY(mutex_);
+  std::size_t load_ ADSCOPE_GUARDED_BY(mutex_) = 0;
   bool closed_ ADSCOPE_GUARDED_BY(mutex_) = false;
 };
 

@@ -11,11 +11,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/report.h"
 #include "core/study.h"
@@ -28,6 +32,7 @@
 #include "store/store_service.h"
 #include "store/study_json.h"
 #include "trace/stream.h"
+#include "trace/view.h"
 #include "trace/writer.h"
 
 namespace adscope {
@@ -564,6 +569,108 @@ TEST_F(LiveStudyTest, SealAllMovesTheFloorPastTheHighestSealedBucket) {
   EXPECT_EQ(fed.study.buckets_sealed(), 2u);
   EXPECT_EQ(fed.tree().leaf_count(), 2u);
   EXPECT_EQ(fed.merged().view().traffic->requests(), 2u);
+}
+
+/// Feeds time-ordered batches to a LiveStudy while another thread runs
+/// maintain() in a loop. Each batch holds records of bucket 4k, then of
+/// bucket 4k + 3: it jumps across two empty buckets, so its newest
+/// timestamp is far enough ahead that a watermark advanced before the
+/// batch is queued lets maintain() seal bucket 4k ahead of its records.
+TEST_F(LiveStudyTest, ConcurrentMaintainNeverSealsAheadOfAQueuedBatch) {
+  constexpr std::uint64_t kBatches = 120;
+  constexpr std::size_t kHalf = 16;
+  const auto& http = epoch_trace().http();
+  std::vector<trace::HttpTransaction> records;
+  records.reserve(kBatches * 2 * kHalf);
+  for (std::uint64_t k = 0; k < kBatches; ++k) {
+    for (std::size_t j = 0; j < 2 * kHalf; ++j) {
+      auto txn = http[records.size() % http.size()];
+      const std::uint64_t bucket = 4 * k + (j < kHalf ? 0 : 3);
+      txn.timestamp_ms = (bucket * 60 + j % kHalf) * 1000;
+      records.push_back(std::move(txn));
+    }
+  }
+  std::vector<trace::HttpTransactionView> views;
+  views.reserve(records.size());
+  for (const auto& txn : records) views.push_back(trace::as_view(txn));
+
+  for (const std::size_t threads : {1u, 2u, 7u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    auto options = live_options(threads, 60);
+    // Batches outweigh the queues, so pushes block and any window
+    // between a watermark move and the batch's push stays wide open.
+    options.queue_capacity = 8;
+    std::atomic<std::uint64_t> sealed_records{0};
+    options.on_seal = [&sealed_records](std::uint64_t, std::size_t,
+                                        const core::TraceStudy& sealed) {
+      sealed_records.fetch_add(sealed.http_transactions());
+    };
+    live::LiveStudy study(engine(), eco().abp_registry(), options);
+    study.on_meta(wide_meta());
+
+    std::atomic<bool> done{false};
+    std::thread housekeeping([&] {
+      while (!done.load()) study.maintain();
+    });
+    for (std::uint64_t k = 0; k < kBatches; ++k) {
+      study.on_http_batch(
+          std::span(views).subspan(k * 2 * kHalf, 2 * kHalf));
+    }
+    done.store(true);
+    housekeeping.join();
+    study.seal_all();
+    study.flush();
+
+    EXPECT_EQ(study.late_drops(), 0u);
+    EXPECT_EQ(study.records_ingested(), records.size());
+    EXPECT_EQ(sealed_records.load(), records.size());
+    study.close();
+  }
+}
+
+/// Forwards a buffered trace to a batch sink in file order: HTTP views
+/// in batches of StreamDecoder::kBatchRecords, then the TLS flows.
+void feed_batches(const trace::MemoryTrace& trace,
+                  trace::TraceBatchSink& sink) {
+  std::vector<trace::HttpTransactionView> views;
+  views.reserve(trace.http().size());
+  for (const auto& txn : trace.http()) views.push_back(trace::as_view(txn));
+  const std::span<const trace::HttpTransactionView> all(views);
+  for (std::size_t at = 0; at < all.size();
+       at += trace::StreamDecoder::kBatchRecords) {
+    sink.on_http_batch(all.subspan(
+        at, std::min(trace::StreamDecoder::kBatchRecords, all.size() - at)));
+  }
+  sink.on_tls_batch(trace.tls());
+}
+
+TEST_F(LiveStudyTest, BatchSurfaceMatchesPerRecordFeed) {
+  trace::MemoryTrace epochs;
+  epochs.on_meta(wide_meta());
+  for (std::uint64_t k = 0; k < kEpochs; ++k) feed_epoch(epochs, k);
+
+  for (const std::size_t threads : {1u, 2u, 7u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    Fed per_record(live_options(threads, 600));
+    epochs.replay(per_record.study);
+    Fed batched(live_options(threads, 600));
+    batched.study.on_meta(epochs.meta());
+    feed_batches(epochs, batched.study);
+    for (auto* fed : {&per_record, &batched}) {
+      fed->study.seal_all();
+      fed->study.flush();
+    }
+
+    EXPECT_EQ(batched.study.records_ingested(),
+              per_record.study.records_ingested());
+    EXPECT_EQ(batched.tree().leaf_count(), per_record.tree().leaf_count());
+    for (const char* target : {"/query/summary/*", "/query/traffic/*",
+                               "/query/users/*", "/query/infra/*"}) {
+      EXPECT_EQ(batched.store.query(target).body,
+                per_record.store.query(target).body)
+          << target;
+    }
+  }
 }
 
 TEST_F(LiveStudyTest, SealLagKeepsRecentBucketsOpenForStragglers) {

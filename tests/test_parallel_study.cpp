@@ -107,6 +107,29 @@ TEST(BoundedQueueTest, BackpressureBlocksUntilConsumed) {
   EXPECT_EQ(out, 1);
 }
 
+TEST(BoundedQueueTest, WeightsBoundTheQueuedUnits) {
+  util::BoundedQueue<int> queue(4);
+  EXPECT_TRUE(queue.push(0, 3));
+  EXPECT_EQ(queue.size(), 3u);
+  std::atomic<bool> second_pushed{false};
+  std::thread producer([&] {
+    queue.push(1, 2);  // blocks: 3 + 2 units overfill the capacity of 4
+    second_pushed.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(second_pushed.load());
+  int out = -1;
+  EXPECT_TRUE(queue.pop(out));
+  producer.join();
+  EXPECT_TRUE(second_pushed.load());
+  EXPECT_EQ(queue.size(), 2u);
+  EXPECT_TRUE(queue.pop(out));
+  EXPECT_EQ(out, 1);
+  // An item heavier than the whole capacity still enters an empty queue.
+  EXPECT_TRUE(queue.push(2, 10));
+  EXPECT_EQ(queue.size(), 10u);
+}
+
 TEST(BoundedQueueTest, CloseReleasesBlockedProducer) {
   util::BoundedQueue<int> queue(1);
   EXPECT_TRUE(queue.push(0));

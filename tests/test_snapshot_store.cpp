@@ -5,14 +5,18 @@
 // identically to the same sealed studies absorbed directly in the
 // LiveStudy seal hook (the merge laws in action), materialized rollups
 // must equal on-demand merges, and retention must bound memory during a
-// long replay.
+// long replay and evict each bucket once, however out of step the shards
+// seal it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/study.h"
@@ -555,6 +559,77 @@ TEST_F(SnapshotTreeTest, RetentionBoundsTreeDuringLongReplay) {
             fed.tree.leaves_ingested());
   // Epoch moved on every mutation.
   EXPECT_GE(fed.tree.epoch(), fed.tree.leaves_ingested());
+}
+
+TEST_F(SnapshotTreeTest, ShardsSealingOutOfStepEvictEachBucketOnce) {
+  // Sealed (bucket, shard) studies, built directly so the test picks the
+  // order in which they reach the tree.
+  constexpr std::size_t kShards = 3;
+  std::map<std::pair<std::uint64_t, std::size_t>,
+           std::unique_ptr<core::TraceStudy>>
+      sealed;
+  const auto study_for = [&](std::uint64_t timestamp_ms,
+                             netdb::IpV4 client_ip) -> core::TraceStudy& {
+    auto& study = sealed[{timestamp_ms / 1000 / 300, client_ip % kShards}];
+    if (study == nullptr) {
+      study = std::make_unique<core::TraceStudy>(engine(), eco().abp_registry(),
+                                                 study_options());
+      study->on_meta(sample_trace().meta());
+    }
+    return *study;
+  };
+  for (const auto& txn : sample_trace().http()) {
+    study_for(txn.timestamp_ms, txn.client_ip).on_http(txn);
+  }
+  for (const auto& flow : sample_trace().tls()) {
+    study_for(flow.timestamp_ms, flow.client_ip).on_tls(flow);
+  }
+  std::set<std::uint64_t> buckets;
+  for (auto& [key, study] : sealed) {
+    study->finish();
+    buckets.insert(key.first);
+  }
+  constexpr std::uint64_t kRetained = 4;
+  ASSERT_GT(buckets.size(), kRetained + 2);
+
+  auto options = tree_options();
+  store::SnapshotTree unbounded(options);
+  options.retention_buckets = kRetained;
+  store::SnapshotTree in_step(options);
+  store::SnapshotTree out_of_step(options);
+  // In step: every shard seals bucket b before any shard seals b + 1.
+  for (const auto& [key, study] : sealed) {
+    unbounded.ingest(key.first, key.second, *study);
+    in_step.ingest(key.first, key.second, *study);
+  }
+  // Out of step: shard 0 seals every bucket before shard 1 seals any,
+  // so shards 1 and 2 deliver leaves for buckets already evicted.
+  for (std::size_t shard = 0; shard < kShards; ++shard) {
+    for (const auto& [key, study] : sealed) {
+      if (key.second == shard) out_of_step.ingest(key.first, shard, *study);
+    }
+  }
+
+  const auto evicted = buckets.size() - kRetained;
+  EXPECT_EQ(in_step.buckets_evicted(), evicted);
+  EXPECT_EQ(out_of_step.buckets_evicted(), evicted);
+  EXPECT_EQ(out_of_step.leaves_ingested(), sealed.size());
+  EXPECT_EQ(out_of_step.bucket_count(), kRetained);
+  EXPECT_EQ(out_of_step.leaf_count(), in_step.leaf_count());
+  EXPECT_EQ(store::summary_json(out_of_step.merge(0, UINT64_MAX, std::nullopt)),
+            store::summary_json(in_step.merge(0, UINT64_MAX, std::nullopt)));
+
+  // The rollups cover every leaf ever ingested, evicted or not.
+  for (const auto* tree : {&in_step, &out_of_step}) {
+    EXPECT_EQ(tree->users_daily_days(), unbounded.users_daily_days());
+    for (const auto day : unbounded.users_daily_days()) {
+      EXPECT_EQ(store::users_json(*tree->users_daily(day)),
+                store::users_json(*unbounded.users_daily(day)));
+    }
+    EXPECT_EQ(store::infra_json(tree->infra_cumulative(), &eco().asn_db(), 10),
+              store::infra_json(unbounded.infra_cumulative(), &eco().asn_db(),
+                                10));
+  }
 }
 
 TEST_F(SnapshotTreeTest, StoreServiceEndToEnd) {

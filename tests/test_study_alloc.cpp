@@ -5,18 +5,28 @@
 // WebObject, the classifier's per-record scratch + slot-pooled pending
 // redirects, the bounded referrer maps, the query normalizer's interned
 // key memo, and the symbol-keyed flat aggregate tables.
+//
+// The live hand-off is pinned beside it: LiveStudy's batch surface
+// copies each batch once per shard, so a warm feed allocates per batch,
+// not per record.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "core/study.h"
+#include "live/live_study.h"
 #include "sim/ecosystem.h"
 #include "sim/listgen.h"
 #include "sim/rbn_sim.h"
 #include "support/alloc_hook.h"
 #include "trace/mmap_reader.h"
+#include "trace/stream.h"
+#include "trace/view.h"
 #include "trace/writer.h"
 
 namespace adscope {
@@ -114,6 +124,70 @@ TEST_F(StudyAllocTest, WarmReplayObservePathIsAllocationFree) {
 
   study.finish();
   EXPECT_GT(study.users().total_requests(), 0u);
+}
+
+TEST_F(StudyAllocTest, WarmLiveBatchHandOffAllocatesPerBatchNotPerRecord) {
+  trace::MemoryTrace memory;
+  trace::MmapTraceReader(path_).replay(memory);
+  const auto& http = memory.http();
+  const auto records = http.size() + memory.tls().size();
+  ASSERT_GT(records, 1000u);
+  std::uint64_t span_ms = 1;
+  for (const auto& txn : http) span_ms = std::max(span_ms, txn.timestamp_ms);
+  for (const auto& flow : memory.tls()) {
+    span_ms = std::max(span_ms, flow.timestamp_ms);
+  }
+  ++span_ms;
+
+  constexpr std::size_t kBatch = trace::StreamDecoder::kBatchRecords;
+  std::vector<trace::HttpTransactionView> views;
+  views.reserve(http.size());
+  for (const auto& txn : http) views.push_back(trace::as_view(txn));
+  std::vector<trace::TlsFlow> flows = memory.tls();
+
+  for (const std::size_t shards : {1u, 3u}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    live::LiveStudyOptions options;
+    options.threads = shards;
+    // One bucket for every pass: the buckets' studies stay warm.
+    options.bucket_seconds = std::uint64_t{1} << 40;
+    live::LiveStudy study(engine(), eco().abp_registry(), options);
+    study.on_meta(memory.meta());
+
+    // Pass k replays the trace k spans later, so each user's time keeps
+    // moving forward inside the one open bucket.
+    const auto feed = [&](std::uint64_t pass) {
+      for (std::size_t i = 0; i < views.size(); ++i) {
+        views[i].timestamp_ms = http[i].timestamp_ms + pass * span_ms;
+      }
+      for (std::size_t i = 0; i < flows.size(); ++i) {
+        flows[i].timestamp_ms = memory.tls()[i].timestamp_ms + pass * span_ms;
+      }
+      const std::span<const trace::HttpTransactionView> all_http(views);
+      for (std::size_t at = 0; at < all_http.size(); at += kBatch) {
+        study.on_http_batch(
+            all_http.subspan(at, std::min(kBatch, all_http.size() - at)));
+      }
+      const std::span<const trace::TlsFlow> all_tls(flows);
+      for (std::size_t at = 0; at < all_tls.size(); at += kBatch) {
+        study.on_tls_batch(
+            all_tls.subspan(at, std::min(kBatch, all_tls.size() - at)));
+      }
+      study.flush();
+    };
+    // Warm-up: the bucket studies build their tables and grow their
+    // pools; the shards' scratch records grow to the largest field.
+    for (std::uint64_t pass = 0; pass < 3; ++pass) feed(pass);
+
+    const auto before = test::allocation_count();
+    feed(3);
+    const auto during = test::allocation_count() - before;
+    EXPECT_LE(static_cast<double>(during) / static_cast<double>(records), 0.05)
+        << during << " heap allocations for " << records << " records";
+    EXPECT_EQ(study.records_ingested(), 4 * records);
+    EXPECT_EQ(study.late_drops(), 0u);
+    study.close();
+  }
 }
 
 }  // namespace

@@ -398,8 +398,9 @@ int cmd_query(int argc, char** argv) {
 
   std::uint64_t records = 0;
   if (trace::MmapTraceReader::supported(trace_path)) {
+    // Batches of views: the study copies each batch once per shard.
     trace::MmapTraceReader reader(trace_path);
-    records = reader.replay(study);
+    records = reader.replay_batches(study);
   } else {
     trace::FileTraceReader reader(trace_path);
     records = reader.replay(study);
